@@ -7,22 +7,30 @@ pass rewrites periodically (atomically — see
 processes keep reading it.  :class:`CatalogStore` is the reader's side of
 that contract:
 
-* **content-stamped reload** — each access reads the file once and keys
-  the parsed snapshot by ``(size, sha256)`` of the bytes actually read.
-  An earlier revision stamped ``(mtime_ns, size, inode)`` from a separate
-  ``stat(2)``; that was cheaper but had two real bugs: a same-size
-  in-place rewrite landing within mtime granularity was invisible (stale
-  statistics served forever), and the stat/parse pair could straddle a
-  concurrent rewrite (TOCTOU).  Stamping the content itself closes both
-  — the stamp and the parse always describe the same bytes.  Catalog
-  files are small (KBs), so the read-per-access cost is negligible next
-  to a JSON parse, and the parse still only happens on change;
+* **one read per access, bytes compared first** — each access reads the
+  file exactly once.  When the bytes equal the last-served bytes the
+  current snapshot is returned as is: a byte comparison, no hashing, no
+  parse.  Only when they differ is the content stamp ``(size, sha256)``
+  computed, the snapshot cache consulted (and the bytes parsed on a
+  miss), and the generation bumped.  An earlier revision stamped
+  ``(mtime_ns, size, inode)`` from a separate ``stat(2)``; that had two
+  real bugs: a same-size in-place rewrite landing within mtime
+  granularity was invisible (stale statistics served forever), and the
+  stat/parse pair could straddle a concurrent rewrite (TOCTOU).
+  Deciding on the content itself closes both — every byte change is
+  seen on the next access, and the stamp and the parse always describe
+  the same bytes;
 * **bounded snapshot cache** — recently parsed snapshots are kept in a
   small LRU keyed by stamp, so a writer flapping between generations (or
   tests restoring a previous file) does not force a reparse per flip;
-* **generation counter** — bumps whenever the served snapshot changes,
-  letting downstream caches (the estimation engine's bound estimators)
-  invalidate exactly when the statistics they were built from changed.
+* **generation counter** — bumps whenever the served snapshot changes.
+  A new snapshot object is served exactly then, so downstream caches
+  (the estimation engine's bound estimators) key on the object itself.
+
+The last-served bytes and their snapshot are held as one tuple and
+replaced whole, so a reader never pairs one version's bytes with
+another version's snapshot.  The store does not otherwise lock: callers
+sharing one store across threads serialize access (the engine does).
 
 All filesystem access goes through a :class:`CatalogIO` object — the
 seam the resilience layer's fault injector wraps (see
@@ -85,7 +93,8 @@ class CatalogIO:
 
     def read_bytes(self, path: Union[str, Path]) -> bytes:
         """The complete current content of ``path``."""
-        return Path(path).read_bytes()
+        with open(path, "rb") as handle:
+            return handle.read()
 
     def save_text(self, path: Union[str, Path], text: str) -> None:
         """Atomically replace ``path`` with ``text``."""
@@ -122,7 +131,8 @@ class CatalogStore:
         self._io = io or CatalogIO()
         self._history = history
         self._snapshots: "OrderedDict[_Stamp, SystemCatalog]" = OrderedDict()
-        self._current_stamp: Optional[_Stamp] = None
+        # The last-served (bytes, snapshot) pair, replaced whole.
+        self._served: Optional[Tuple[bytes, SystemCatalog]] = None
         self._generation = 0
         # In-process floor for version ids: never reuse an id this store
         # already assigned, even after retention pruned its file.
@@ -143,27 +153,33 @@ class CatalogStore:
         """Increments every time the served snapshot changes."""
         return self._generation
 
-    def _read(self) -> Tuple[_Stamp, bytes]:
-        """One read of the catalog file plus its content stamp.
+    def _read(self) -> bytes:
+        """One read of the catalog file.
 
         Raises :class:`~repro.errors.CatalogError` when the file does
         not exist; any other :class:`OSError` (the transient class)
         propagates for the caller — or a resilient subclass — to handle.
         """
         try:
-            data = self._io.read_bytes(self._path)
+            return self._io.read_bytes(self._path)
         except FileNotFoundError:
             raise CatalogError(
                 f"catalog file {str(self._path)!r} does not exist; run "
                 f"statistics collection (e.g. `repro fit --catalog ...`) "
                 f"first"
             ) from None
-        return (len(data), hashlib.sha256(data).hexdigest()), data
 
-    def _parse_and_cache(
-        self, stamp: _Stamp, data: bytes
-    ) -> SystemCatalog:
-        """Serve the snapshot for ``(stamp, data)``, parsing on miss."""
+    def _snapshot(self, data: bytes) -> SystemCatalog:
+        """The snapshot for the bytes ``data`` just read.
+
+        Unchanged bytes return the served snapshot after one byte
+        comparison.  Changed bytes are stamped, served from the
+        snapshot cache or parsed, and bump :attr:`generation`.
+        """
+        served = self._served
+        if served is not None and served[0] == data:
+            return served[1]
+        stamp = (len(data), hashlib.sha256(data).hexdigest())
         snapshot = self._snapshots.get(stamp)
         if snapshot is None:
             try:
@@ -179,15 +195,13 @@ class CatalogStore:
                 self._snapshots.popitem(last=False)
         else:
             self._snapshots.move_to_end(stamp)
-        if stamp != self._current_stamp:
-            self._current_stamp = stamp
-            self._generation += 1
+        self._served = (data, snapshot)
+        self._generation += 1
         return snapshot
 
     def catalog(self) -> SystemCatalog:
-        """The current snapshot, reloaded iff the file changed on disk."""
-        stamp, data = self._read()
-        return self._parse_and_cache(stamp, data)
+        """The current snapshot, reloaded iff the file's bytes changed."""
+        return self._snapshot(self._read())
 
     def get(self, index_name: str) -> IndexStatistics:
         """Statistics for one index from the current snapshot."""
@@ -205,7 +219,7 @@ class CatalogStore:
     def invalidate(self) -> None:
         """Drop all cached snapshots; the next access reparses the file."""
         self._snapshots.clear()
-        self._current_stamp = None
+        self._served = None
         self._generation += 1
 
     def save(self, catalog: SystemCatalog) -> None:
@@ -213,7 +227,7 @@ class CatalogStore:
 
         The write goes through this store's :class:`CatalogIO` (so
         injected write faults apply); the next :meth:`catalog` call
-        picks the new file up through the normal stamp check (and bumps
+        picks the new file up through the normal byte check (and bumps
         :attr:`generation` accordingly).  With ``history > 0`` the
         intended bytes are archived as a new version *before* the
         publish — see :meth:`save_text`.

@@ -11,8 +11,9 @@ compiler would hold it:
 * it resolves ``(index_name, estimator_name)`` to a *bound* estimator via
   the estimator registry, caching the binding in a bounded LRU so repeated
   compilations of the same shape pay construction cost once,
-* it invalidates those bindings exactly when the underlying statistics
-  change (the store's generation counter moves),
+* it resolves exactly one catalog snapshot per call, binds from that
+  snapshot, and drops its bindings exactly when the snapshot object
+  changes (the store serves a new one only when the file's bytes do),
 * it counts calls, estimates, and wall-clock latency per estimator, the
   observability hook a high-traffic deployment graphs first,
 * and — when configured with a ``fallback_chain`` and/or a
@@ -25,6 +26,7 @@ compiler would hold it:
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -107,7 +109,7 @@ class _CacheKey:
     options: Tuple[Tuple[str, object], ...] = field(default=())
     #: Replacement policy of the catalog record the binding was built
     #: from.  Keying on it means refitting an index under another policy
-    #: (same name, same generation for in-memory catalogs) can never
+    #: (same name, same snapshot object for in-memory catalogs) can never
     #: serve an estimator bound to the old policy's curve.
     policy: str = "lru"
 
@@ -126,6 +128,10 @@ class EstimationEngine:
     repeatedly failing member is skipped until its cooldown elapses.
     With neither configured the engine behaves exactly as before:
     estimator exceptions propagate unchanged.
+
+    One engine may be shared across threads: catalog access and the
+    binding cache are guarded by one lock, so a rewrite observed by one
+    thread can never clear the cache under another thread's lookup.
     """
 
     def __init__(
@@ -151,7 +157,10 @@ class EstimationEngine:
         self._bound: "OrderedDict[_CacheKey, PageFetchEstimator]" = (
             OrderedDict()
         )
-        self._bound_generation = -1
+        # The snapshot the bindings were built from; holding it keeps
+        # the identity check below sound.
+        self._bound_snapshot: Optional[SystemCatalog] = None
+        self._lock = threading.RLock()
         # Serving counters live on a metrics registry: the engine's own
         # always-enabled one by default (``metrics()`` stays truthful
         # with no setup) or a caller-provided registry.  Latencies are
@@ -199,7 +208,8 @@ class EstimationEngine:
     def catalog(self) -> SystemCatalog:
         """The current catalog snapshot (reloaded if file-backed)."""
         if isinstance(self._source, CatalogStore):
-            return self._source.catalog()
+            with self._lock:
+                return self._source.catalog()
         return self._source
 
     def statistics(self, index_name: str) -> IndexStatistics:
@@ -210,15 +220,6 @@ class EstimationEngine:
         """Sorted names of every index the engine can estimate for."""
         return list(self.catalog())
 
-    def _sync_with_source(self) -> None:
-        """Drop bound estimators when the backing statistics changed."""
-        if isinstance(self._source, CatalogStore):
-            self._source.catalog()  # refresh the stamp/generation
-            generation = self._source.generation
-            if generation != self._bound_generation:
-                self._bound.clear()
-                self._bound_generation = generation
-
     # ------------------------------------------------------------------
     # Estimator binding
     # ------------------------------------------------------------------
@@ -227,30 +228,36 @@ class EstimationEngine:
     ) -> PageFetchEstimator:
         """The bound estimator for ``(index_name, estimator_name)``.
 
-        Bindings are cached (LRU, ``cache_size`` entries) and rebuilt
-        automatically after the catalog file changes; ``options`` are
-        forwarded to the registry factory and participate in the cache
-        key, as does the record's fitted ``policy`` (so an in-place
-        refit under another replacement policy invalidates the binding
-        even when no file generation ticked).
+        The catalog is read once: the record comes from that snapshot,
+        and the cached bindings are dropped first when the snapshot is
+        not the one they were built from.  Bindings are cached (LRU,
+        ``cache_size`` entries); ``options`` are forwarded to the
+        registry factory and participate in the cache key, as does the
+        record's fitted ``policy`` (so an in-place refit of an
+        in-memory catalog under another replacement policy invalidates
+        the binding even though the snapshot object stays the same).
         """
-        self._sync_with_source()
-        stats = self.statistics(index_name)
-        key = _CacheKey(
-            index_name,
-            estimator_name,
-            tuple(sorted(options.items())),
-            policy=stats.policy,
-        )
-        bound = self._bound.get(key)
-        if bound is None:
-            bound = get_estimator(estimator_name, stats, **options)
-            self._bound[key] = bound
-            while len(self._bound) > self._cache_size:
-                self._bound.popitem(last=False)
-        else:
-            self._bound.move_to_end(key)
-        return bound
+        with self._lock:
+            snapshot = self.catalog()
+            if snapshot is not self._bound_snapshot:
+                self._bound.clear()
+                self._bound_snapshot = snapshot
+            stats = snapshot.get(index_name)
+            key = _CacheKey(
+                index_name,
+                estimator_name,
+                tuple(sorted(options.items())),
+                policy=stats.policy,
+            )
+            bound = self._bound.get(key)
+            if bound is None:
+                bound = get_estimator(estimator_name, stats, **options)
+                self._bound[key] = bound
+                while len(self._bound) > self._cache_size:
+                    self._bound.popitem(last=False)
+            else:
+                self._bound.move_to_end(key)
+            return bound
 
     # ------------------------------------------------------------------
     # Degraded-mode serving

@@ -616,8 +616,8 @@ class RefreshController:
             return False
         # 3. Engine-cache invalidation probe: a long-lived engine over
         #    the same store must now serve the candidate — statistics
-        #    and estimates both — proving the generation bump evicted
-        #    its bound estimators.
+        #    and estimates both — proving the new snapshot evicted its
+        #    bound estimators.
         return self._engine_probe(candidate)
 
     def _oracle_spot_check(self, stats: IndexStatistics) -> bool:

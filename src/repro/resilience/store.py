@@ -63,7 +63,7 @@ class ResilientCatalogStore(CatalogStore):
     """A :class:`CatalogStore` with retry, quarantine, and stale serving.
 
     Drop-in for the plain store (``isinstance`` checks and the engine's
-    generation-based invalidation work unchanged); ``sleep`` and the
+    snapshot-based invalidation work unchanged); ``sleep`` and the
     retry RNG seed are injectable so tests replay exact schedules
     without wall-clock delay.
     """
@@ -124,7 +124,7 @@ class ResilientCatalogStore(CatalogStore):
         """
         self._count("reads")
         try:
-            (stamp, data), retries = call_with_retry(
+            data, retries = call_with_retry(
                 self._read,
                 self._retry,
                 retry_on=(OSError,),
@@ -145,7 +145,7 @@ class ResilientCatalogStore(CatalogStore):
             # statistics pass rewrites the file.
             return self._serve_stale(str(exc), exc)
         try:
-            snapshot = self._parse_and_cache(stamp, data)
+            snapshot = self._snapshot(data)
         except CatalogError as exc:
             self._quarantine()
             return self._serve_stale(

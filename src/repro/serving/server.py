@@ -3,15 +3,18 @@
 The paper's consumption side (Est-IO) is meant to answer thousands of
 optimizer compilations per second against shared statistics.  The
 per-call cost of :meth:`~repro.engine.EstimationEngine.estimate` is
-dominated by fixed overhead — the content-stamped catalog re-read, the
-binding-cache lookup, metrics — not by evaluating the six-segment
-curve.  :class:`EstimationServer` amortizes that overhead the way a
-high-QPS service does:
+dominated by fixed overhead — one catalog read plus a byte comparison
+against the last-served bytes (both O(file size); stamping and parsing
+happen only when the bytes changed), the binding-cache lookup, metrics
+— not by evaluating the six-segment curve.  :class:`EstimationServer`
+amortizes that overhead the way a high-QPS service does:
 
 * **request loop** — callers :meth:`submit` requests from any thread
   and get a :class:`concurrent.futures.Future`; a small pool of
   dispatcher threads (one by default — see ``DEFAULT_DISPATCHERS``)
-  owns all engine access (no lock contention on the hot path);
+  answers them.  :meth:`grid` and :meth:`advise` run on the caller's
+  thread against the same tenant engine, which guards its catalog
+  access and binding cache with its own lock;
 * **micro-batching** — the dispatcher drains whatever is queued, waits
   up to ``batch_window_ms`` for stragglers, groups requests by
   ``(tenant, index, estimator, options)`` and answers each group with

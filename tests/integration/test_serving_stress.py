@@ -18,6 +18,7 @@ closed-loop load generator at larger scale.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import threading
 import time
 
@@ -30,6 +31,7 @@ from repro.estimators.epfis import LRUFit, LRUFitConfig
 from repro.serving import (
     EstimateRequest,
     EstimationServer,
+    GridRequest,
     ServingConfig,
     TenantCatalogs,
 )
@@ -152,6 +154,93 @@ class TestRollingBumpStress:
             bumps=10,
             bump_sleep=0.01,
         )
+
+
+@pytest.fixture()
+def fine_thread_switching():
+    """Switch threads every 10 us so short races actually interleave."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+class TestGridBesideDispatcher:
+    def test_grid_threads_share_the_engine_with_the_dispatcher(
+        self, tmp_path, fine_thread_switching
+    ):
+        """Grid requests run the tenant's engine on their own threads
+        while the dispatcher runs it for submitted estimates, and a
+        writer flips the catalog under both.  Every response must be
+        ``ok`` and carry one of the two versions' values: a binding
+        cache cleared under another thread's lookup would surface as
+        an exception or an error response."""
+        catalogs, values = _versions()
+        tenants = TenantCatalogs(tmp_path)
+        tenants.save("t0", catalogs[0])
+        estimate = EstimateRequest(
+            tenant="t0", index=INDEX, estimator="epfis", sigma=SIGMA,
+            buffer_pages=BUFFERS,
+        )
+        grid = GridRequest(
+            tenant="t0", estimator="epfis", indexes=(INDEX,),
+            selectivities=((SIGMA, 1.0),), buffers=(BUFFERS,),
+        )
+        rounds = 150
+        observed, failures = [], []
+        stop = threading.Event()
+
+        def grid_client() -> None:
+            for _ in range(rounds):
+                response = server.grid_respond(grid)
+                observed.append(
+                    response.curves[INDEX][0][0] if response.ok
+                    else response.error
+                )
+
+        def estimate_client() -> None:
+            for _ in range(rounds):
+                response = server.respond(estimate)
+                observed.append(
+                    response.estimate if response.ok else response.error
+                )
+
+        def guarded(target):
+            def run() -> None:
+                try:
+                    target()
+                except Exception as exc:  # noqa: BLE001 — reported
+                    failures.append(repr(exc))
+            return run
+
+        def churn() -> None:
+            flip = 0
+            while not stop.is_set():
+                flip ^= 1
+                tenants.save("t0", catalogs[flip])
+                time.sleep(0.001)
+
+        with EstimationServer(tenants) as server:
+            writer = threading.Thread(target=guarded(churn), daemon=True)
+            clients = [
+                threading.Thread(target=guarded(target), daemon=True)
+                for target in (grid_client, estimate_client) * 3
+            ]
+            writer.start()
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=120.0)
+            stop.set()
+            writer.join(timeout=30.0)
+            assert not any(t.is_alive() for t in [writer, *clients])
+
+        assert not failures, failures[:3]
+        assert len(observed) == 6 * rounds
+        strays = [value for value in observed if value not in values]
+        assert not strays, strays[:3]
 
 
 @pytest.mark.slow

@@ -1,9 +1,11 @@
 """Unit tests for the reloading CatalogStore."""
 
 import os
+import types
 
 import pytest
 
+import repro.catalog.store as store_module
 from repro.catalog import CatalogStore, SystemCatalog
 from repro.errors import CatalogError
 
@@ -85,6 +87,46 @@ class TestCatalogStore:
             _touch(path, (i + 1) * 5_000_000)
             store.catalog()
         assert len(store._snapshots) <= 2
+
+    def test_flip_back_serves_the_cached_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "catalog.json"
+        parses = []
+        from_json = SystemCatalog.from_json.__func__
+
+        def counting_from_json(cls, text):
+            parses.append(text)
+            return from_json(cls, text)
+
+        monkeypatch.setattr(
+            SystemCatalog, "from_json", classmethod(counting_from_json)
+        )
+        store = CatalogStore(path)
+        served, generations = [], []
+        for name in ("t.a", "t.b", "t.a"):
+            _write(path, _stats(name))
+            served.append(store.catalog())
+            generations.append(store.generation)
+        assert served[2] is served[0]
+        assert served[1] is not served[0]
+        assert len(parses) == 2
+        assert generations == [1, 2, 3]
+
+    def test_unchanged_bytes_are_not_rehashed(self, tmp_path, monkeypatch):
+        path = tmp_path / "catalog.json"
+        _write(path, _stats())
+        store = CatalogStore(path)
+        first = store.catalog()
+
+        def no_hashing(*_args):
+            raise AssertionError("unchanged catalog bytes were hashed")
+
+        monkeypatch.setattr(
+            store_module, "hashlib", types.SimpleNamespace(sha256=no_hashing)
+        )
+        assert store.catalog() is first
+        assert store.generation == 1
 
     def test_save_round_trips_through_store(self, tmp_path):
         path = tmp_path / "catalog.json"

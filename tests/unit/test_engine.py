@@ -1,13 +1,16 @@
 """Unit tests for the EstimationEngine serving layer."""
 
+import dataclasses
 import os
 
 import pytest
 
 from repro.catalog import CatalogStore, SystemCatalog
+from repro.catalog.store import CatalogIO
 from repro.engine import EstimationEngine
 from repro.errors import CatalogError, EngineError, EstimationError
 from repro.estimators import LRUFit, PAPER_ESTIMATOR_NAMES
+from repro.resilience.store import ResilientCatalogStore
 from repro.types import ScanSelectivity
 
 
@@ -137,6 +140,87 @@ class TestReload:
 
         assert len(engine.index_names()) == 3
         assert engine.estimator(name, "epfis") is not before
+
+
+class _ScriptedIO(CatalogIO):
+    """Serves ``v1`` for the first ``switch_after`` reads, ``v2`` after.
+
+    A rewrite that lands at an exact read count, with no file involved.
+    """
+
+    def __init__(self, v1: bytes, v2: bytes, switch_after: int) -> None:
+        self._versions = (v1, v2)
+        self._switch_after = switch_after
+        self.reads = 0
+
+    def last_read_was_v2(self) -> bool:
+        return self.reads > self._switch_after
+
+    def read_bytes(self, path):
+        self.reads += 1
+        return self._versions[self.last_read_was_v2()]
+
+
+def _calls(engine, name, selectivity, pages):
+    """The three query shapes, each reduced to its one estimate."""
+    return (
+        lambda: engine.estimate(name, "epfis", selectivity, pages),
+        lambda: engine.estimate_many(
+            name, "epfis", [(selectivity, pages)]
+        )[0],
+        lambda: engine.estimate_grid(
+            name, "epfis", [selectivity], [pages]
+        )[0][0],
+    )
+
+
+@pytest.mark.parametrize(
+    "store_cls", [CatalogStore, ResilientCatalogStore]
+)
+class TestOneSnapshotPerCall:
+    def test_each_call_reads_the_catalog_once(
+        self, catalog, store_cls, tmp_path
+    ):
+        data = catalog.to_json().encode("utf-8")
+        io = _ScriptedIO(data, data, switch_after=0)
+        engine = EstimationEngine(store_cls(tmp_path / "c.json", io=io))
+        name = next(iter(catalog))
+        # Twice round: a cold binding cache, then a warm one.
+        for call in _calls(engine, name, ScanSelectivity(0.2), 25) * 2:
+            before = io.reads
+            call()
+            assert io.reads == before + 1
+
+    @pytest.mark.parametrize("switch_after", [1, 2, 3, 4])
+    def test_answer_comes_from_the_last_read(
+        self, catalog, store_cls, switch_after, tmp_path
+    ):
+        # A rewrite lands after read ``switch_after``; whichever call
+        # it lands in must answer from the bytes that call read last,
+        # never from a binding built under the older snapshot.
+        name, other = sorted(catalog)
+        sel = ScanSelectivity(0.2)
+        versions = []
+        for stats in (
+            catalog.get(name),
+            dataclasses.replace(catalog.get(other), index_name=name),
+        ):
+            version = SystemCatalog()
+            version.put(stats)
+            versions.append(version)
+        expected = [
+            EstimationEngine(version).estimate(name, "epfis", sel, 25)
+            for version in versions
+        ]
+        assert expected[0] != expected[1]
+        io = _ScriptedIO(
+            *(v.to_json().encode("utf-8") for v in versions),
+            switch_after=switch_after,
+        )
+        engine = EstimationEngine(store_cls(tmp_path / "c.json", io=io))
+        for call in _calls(engine, name, sel, 25) * 2:
+            answer = call()
+            assert answer == expected[io.last_read_was_v2()]
 
 
 class TestMetrics:
