@@ -37,22 +37,13 @@ from repro.catalog.store import CatalogStore
 from repro.engine.engine import EstimationEngine
 from repro.errors import AdvisorError
 from repro.obs import instruments
-from repro.obs.metrics import MetricsRegistry, global_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import span as obs_span
 
 #: Default budget sweep, as fractions of the fleet's total table pages.
 DEFAULT_SWEEP_FRACTIONS = (
     (1, 8), (1, 4), (1, 2), (3, 4), (1, 1),
 )
-
-
-def _bind_advisor_families(registry: MetricsRegistry) -> dict:
-    return {
-        "runs": instruments.advisor_runs(registry),
-        "points": instruments.advisor_curve_points(registry),
-        "seconds": instruments.advisor_allocation_seconds(registry),
-        "oracle": instruments.advisor_oracle_checks(registry),
-    }
 
 
 @dataclass(frozen=True)
@@ -170,16 +161,12 @@ def advise(
     already-built engine (the serving tier passes its per-tenant one so
     advisories see exactly the catalog that tenant's estimates see).
     ``path`` labels ``repro_advisor_runs_total`` (``cli``, ``serving``,
-    ``library``).
+    ``library``); the advisor families record on ``registry``, the
+    process-global one by default.
     """
     if not isinstance(source, EstimationEngine):
         source = EstimationEngine(source)
-    fam = _bind_advisor_families(
-        registry if registry is not None else global_registry()
-    )
-    mirror = None
-    if registry is not None and registry is not global_registry():
-        mirror = _bind_advisor_families(global_registry())
+    oracle_checks = instruments.advisor_oracle_checks(registry)
     started = time.perf_counter_ns()
     with obs_span("advise", fleet=len(spec.fleet), path=path):
         budgets = spec.budgets or default_budget_sweep(source, spec)
@@ -199,9 +186,7 @@ def advise(
                 verdict = _check_oracle(
                     envelopes, budget, allocation, spec.oracle
                 )
-            for fams in (fam, mirror):
-                if fams is not None:
-                    fams["oracle"].labels(result=verdict).inc()
+            oracle_checks.labels(result=verdict).inc()
             if verdict == "mismatch":
                 raise AdvisorError(
                     f"greedy/DP oracle divergence at budget {budget}: "
@@ -221,12 +206,11 @@ def advise(
                 )
             )
     elapsed = time.perf_counter_ns() - started
-    for fams in (fam, mirror):
-        if fams is None:
-            continue
-        fams["runs"].labels(path=path).inc()
-        fams["points"].labels().inc(points)
-        fams["seconds"].labels().observe(elapsed)
+    instruments.advisor_runs(registry).labels(path=path).inc()
+    instruments.advisor_curve_points(registry).labels().inc(points)
+    instruments.advisor_allocation_seconds(registry).labels().observe(
+        elapsed
+    )
     return AdvisorReport(
         spec=spec, curves=curves, sweep=tuple(sweep)
     )

@@ -7,14 +7,9 @@ estimator registry, caches the bindings, and counts per-estimator calls
 and latency.  See DESIGN.md, "Estimation serving architecture".
 """
 
-from repro.engine.engine import (
-    DEFAULT_ESTIMATOR_CACHE,
-    EstimationEngine,
-    EstimatorCallStats,
-)
+from repro.engine.engine import DEFAULT_ESTIMATOR_CACHE, EstimationEngine
 
 __all__ = [
     "DEFAULT_ESTIMATOR_CACHE",
     "EstimationEngine",
-    "EstimatorCallStats",
 ]

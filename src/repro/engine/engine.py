@@ -48,11 +48,7 @@ from repro.errors import EngineError, ReproError
 from repro.estimators.base import PageFetchEstimator
 from repro.estimators.registry import available_estimators, get_estimator
 from repro.obs import instruments
-from repro.obs.metrics import (
-    NS_TO_SECONDS,
-    MetricsRegistry,
-    global_registry,
-)
+from repro.obs.metrics import NS_TO_SECONDS, MetricsRegistry
 from repro.obs.tracing import span as obs_span
 from repro.resilience.breaker import BreakerPolicy, CircuitBreaker
 from repro.types import ScanSelectivity
@@ -69,37 +65,6 @@ def _bind_engine_families(registry: MetricsRegistry) -> Dict[str, object]:
         "errors": instruments.engine_errors(registry),
         "degraded": instruments.engine_degraded_serves(registry),
     }
-
-
-@dataclass
-class EstimatorCallStats:
-    """Serving counters for one estimator name.
-
-    ``errors`` counts calls that raised; ``degraded_serves`` counts
-    requests that *asked* for this estimator but were answered by a
-    fallback-chain member instead.  Both stay zero outside degraded-mode
-    configurations.
-    """
-
-    calls: int = 0
-    estimates: int = 0
-    seconds: float = 0.0
-    errors: int = 0
-    degraded_serves: int = 0
-
-    def snapshot(self) -> Dict[str, float]:
-        """A plain-dict copy (for logging/metrics export)."""
-        mean_us = (
-            1e6 * self.seconds / self.calls if self.calls else 0.0
-        )
-        return {
-            "calls": self.calls,
-            "estimates": self.estimates,
-            "seconds": self.seconds,
-            "mean_call_us": mean_us,
-            "errors": self.errors,
-            "degraded_serves": self.degraded_serves,
-        }
 
 
 @dataclass(frozen=True)
@@ -161,24 +126,17 @@ class EstimationEngine:
         # the identity check below sound.
         self._bound_snapshot: Optional[SystemCatalog] = None
         self._lock = threading.RLock()
-        # Serving counters live on a metrics registry: the engine's own
-        # always-enabled one by default (``metrics()`` stays truthful
-        # with no setup) or a caller-provided registry.  Latencies are
+        # Serving counters live on one metrics registry: the engine's
+        # own always-enabled one by default (``metrics()`` stays
+        # truthful with no setup) or a caller-provided registry, which
+        # forwards to the export while one is attached.  Latencies are
         # accumulated as integer nanoseconds inside the registry and
         # converted to seconds only in views/snapshots, so a nanosecond
-        # can never vanish into a large float running total.  Every
-        # record is mirrored onto the process-global registry (no-op
-        # while it is disabled) so exports carry the engine families.
+        # can never vanish into a large float running total.
         self._registry = (
             registry if registry is not None else MetricsRegistry()
         )
         self._fam = _bind_engine_families(self._registry)
-        shared = global_registry()
-        self._fam_mirror = (
-            _bind_engine_families(shared)
-            if shared is not self._registry
-            else None
-        )
         if fallback_chain is not None:
             known = set(available_estimators())
             normalized = []
@@ -418,54 +376,45 @@ class EstimationEngine:
     # Observability
     # ------------------------------------------------------------------
     def _count(self, family: str, estimator_name: str) -> None:
-        name = estimator_name.lower()
-        self._fam[family].labels(estimator=name).inc()
-        if self._fam_mirror is not None:
-            self._fam_mirror[family].labels(estimator=name).inc()
+        self._fam[family].labels(estimator=estimator_name.lower()).inc()
 
     def _record(
         self, estimator_name: str, estimates: int, elapsed_ns: int
     ) -> None:
         name = estimator_name.lower()
-        for fams in (self._fam, self._fam_mirror):
-            if fams is None:
-                continue
-            fams["latency"].labels(estimator=name).observe(elapsed_ns)
-            if estimates:
-                fams["estimates"].labels(estimator=name).inc(estimates)
-
-    def _served_names(self) -> List[str]:
-        names = set()
-        for family in self._fam.values():
-            names.update(key[0] for key in family.children())
-        return sorted(names)
-
-    def _stats_view(self, name: str) -> EstimatorCallStats:
-        latency = self._fam["latency"].labels(estimator=name)
-        return EstimatorCallStats(
-            calls=latency.count,
-            estimates=self._fam["estimates"].labels(
-                estimator=name
-            ).value,
-            seconds=latency.sum * NS_TO_SECONDS,
-            errors=self._fam["errors"].labels(estimator=name).value,
-            degraded_serves=self._fam["degraded"].labels(
-                estimator=name
-            ).value,
-        )
+        self._fam["latency"].labels(estimator=name).observe(elapsed_ns)
+        if estimates:
+            self._fam["estimates"].labels(estimator=name).inc(estimates)
 
     def metrics(self) -> Dict[str, Dict[str, float]]:
         """Per-estimator serving counters, as plain dicts.
 
-        A view over the engine's metrics registry shaped exactly like
-        the pre-registry dicts (pinned by the equality tests); latency
-        sums are exact integer nanoseconds underneath, converted to
-        seconds here.
+        ``errors`` counts calls that raised; ``degraded_serves`` counts
+        requests that *asked* for an estimator but were answered by a
+        fallback-chain member instead.  Read straight off the engine's
+        registry families; latency sums are exact integer nanoseconds
+        there, converted to seconds here.
         """
-        return {
-            name: self._stats_view(name).snapshot()
-            for name in self._served_names()
-        }
+        fam = self._fam
+        names = sorted({
+            key[0] for family in fam.values() for key in family.children()
+        })
+        views = {}
+        for name in names:
+            latency = fam["latency"].labels(estimator=name)
+            calls = latency.count
+            seconds = latency.sum * NS_TO_SECONDS
+            views[name] = {
+                "calls": calls,
+                "estimates": fam["estimates"].labels(estimator=name).value,
+                "seconds": seconds,
+                "mean_call_us": 1e6 * seconds / calls if calls else 0.0,
+                "errors": fam["errors"].labels(estimator=name).value,
+                "degraded_serves": fam["degraded"].labels(
+                    estimator=name
+                ).value,
+            }
+        return views
 
     def breaker_states(self) -> Dict[str, str]:
         """Current circuit-breaker state per estimator name.
@@ -478,30 +427,6 @@ class EstimationEngine:
             name: breaker.state
             for name, breaker in sorted(self._breakers.items())
         }
-
-    def resilience_metrics(self) -> Dict[str, object]:
-        """One truthful roll-up of every degradation this engine saw.
-
-        Combines per-estimator degraded serves and errors, breaker
-        states, and — when the catalog source is a
-        :class:`~repro.resilience.store.ResilientCatalogStore` — its
-        retry/quarantine/stale-serve counters under ``"catalog"``.
-        """
-        rollup: Dict[str, object] = {
-            "degraded_serves": sum(
-                child.value
-                for child in self._fam["degraded"].children().values()
-            ),
-            "errors": sum(
-                child.value
-                for child in self._fam["errors"].children().values()
-            ),
-            "breaker_state": self.breaker_states(),
-        }
-        store_metrics = getattr(self._source, "metrics", None)
-        if callable(store_metrics):
-            rollup["catalog"] = store_metrics()
-        return rollup
 
     def cached_estimators(self) -> int:
         """Number of currently bound (index, estimator) pairs."""

@@ -5,7 +5,8 @@ The subsystem has four layers:
 * :mod:`repro.obs.metrics` — thread-safe :class:`MetricsRegistry`
   holding counter/gauge/histogram families; the process-global
   registry (:func:`global_registry`) is disabled by default so
-  instrumentation costs one branch until an exporter is attached.
+  instrumentation costs one branch until an exporter is attached, and
+  every other registry forwards its mutations to it while it is on.
 * :mod:`repro.obs.tracing` — :class:`Tracer`/:class:`Span` context
   managers with parent links, an injectable clock, and a JSONL sink;
   library code records through the module-level :func:`span` helper.

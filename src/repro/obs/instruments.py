@@ -2,9 +2,12 @@
 
 Every instrumentation site goes through one of these accessors, so a
 family is always declared with the same type, labels, buckets, and
-scale no matter which subsystem touches it first — including when the
-engine's private registry and the process-global registry both carry
-the same family name.
+scale no matter which subsystem touches it first.  A site calls the
+accessor on one registry — its component's (which forwards to the
+process-global registry while an export is attached, see
+:mod:`repro.obs.metrics`) or, with no argument, the global one — and
+the forwarded family is declared on the global registry with that same
+signature.
 
 Durations are declared in **integer nanoseconds** with a snapshot-time
 scale of 1e-9: exporters show seconds (the Prometheus convention), the

@@ -24,6 +24,19 @@ by default** — deep instrumentation sites (kernel streams, checkpoint
 I/O) stay no-op-cheap until an exporter is attached (the CLI's
 ``--metrics-out`` flag, or :func:`repro.obs.session.observability_session`).
 
+Every other registry — a component's own, always enabled so its views
+stay truthful with no setup — **forwards** each mutation to the family
+of the same name and labels on the global registry, and only while
+that registry is enabled.  That one rule is how component counters
+reach the export: an instrumentation site makes one call into one
+registry.  The global family is declared on first forward with the
+local family's kind, help, labels, buckets and scale (a signature clash
+raises :class:`~repro.errors.ObservabilityError`).  The global child is
+looked up by label key on every forwarded mutation, never cached, so an
+export session's ``clear()`` cannot orphan it; the two registries'
+locks are never held at once.  While the global registry is disabled,
+forwarding costs one flag check.
+
 Snapshots (:meth:`MetricsRegistry.snapshot`) are canonical — families
 sorted by name, samples sorted by label values — so the exporters in
 :mod:`repro.obs.export` produce byte-stable output from equal state.
@@ -67,12 +80,16 @@ def _valid_metric_name(name: str) -> bool:
 
 
 class _Instrument:
-    """Shared plumbing: every instrument belongs to one family."""
+    """Shared plumbing: every instrument belongs to one family, under
+    one label key (the key its mutations are forwarded under)."""
 
-    __slots__ = ("_family",)
+    __slots__ = ("_family", "_key")
 
-    def __init__(self, family: "MetricFamily") -> None:
+    def __init__(
+        self, family: "MetricFamily", key: Tuple[str, ...]
+    ) -> None:
         self._family = family
+        self._key = key
 
 
 class Counter(_Instrument):
@@ -80,8 +97,10 @@ class Counter(_Instrument):
 
     __slots__ = ("_value",)
 
-    def __init__(self, family: "MetricFamily") -> None:
-        super().__init__(family)
+    def __init__(
+        self, family: "MetricFamily", key: Tuple[str, ...]
+    ) -> None:
+        super().__init__(family, key)
         self._value: Number = 0
 
     def inc(self, amount: Number = 1) -> None:
@@ -92,10 +111,11 @@ class Counter(_Instrument):
                 f"(inc({amount}))"
             )
         family = self._family
-        if not family._registry._enabled:
-            return
-        with family._lock:
-            self._value += amount
+        if family._registry._enabled:
+            with family._lock:
+                self._value += amount
+        if _GLOBAL._enabled and family._registry is not _GLOBAL:
+            family._exported(self._key).inc(amount)
 
     @property
     def value(self) -> Number:
@@ -108,17 +128,20 @@ class Gauge(_Instrument):
 
     __slots__ = ("_value",)
 
-    def __init__(self, family: "MetricFamily") -> None:
-        super().__init__(family)
+    def __init__(
+        self, family: "MetricFamily", key: Tuple[str, ...]
+    ) -> None:
+        super().__init__(family, key)
         self._value: Number = 0
 
     def set(self, value: Number) -> None:
         """Overwrite the gauge; no-op when the registry is disabled."""
         family = self._family
-        if not family._registry._enabled:
-            return
-        with family._lock:
-            self._value = value
+        if family._registry._enabled:
+            with family._lock:
+                self._value = value
+        if _GLOBAL._enabled and family._registry is not _GLOBAL:
+            family._exported(self._key).set(value)
 
     @property
     def value(self) -> Number:
@@ -138,8 +161,10 @@ class Histogram(_Instrument):
 
     __slots__ = ("_bucket_counts", "_sum", "_count")
 
-    def __init__(self, family: "MetricFamily") -> None:
-        super().__init__(family)
+    def __init__(
+        self, family: "MetricFamily", key: Tuple[str, ...]
+    ) -> None:
+        super().__init__(family, key)
         self._bucket_counts = [0] * (len(family.buckets) + 1)
         self._sum: Number = 0
         self._count = 0
@@ -147,13 +172,14 @@ class Histogram(_Instrument):
     def observe(self, value: Number) -> None:
         """Record one observation; no-op when the registry is disabled."""
         family = self._family
-        if not family._registry._enabled:
-            return
-        index = bisect.bisect_left(family.buckets, value)
-        with family._lock:
-            self._bucket_counts[index] += 1
-            self._sum += value
-            self._count += 1
+        if family._registry._enabled:
+            index = bisect.bisect_left(family.buckets, value)
+            with family._lock:
+                self._bucket_counts[index] += 1
+                self._sum += value
+                self._count += 1
+        if _GLOBAL._enabled and family._registry is not _GLOBAL:
+            family._exported(self._key).observe(value)
 
     @property
     def count(self) -> int:
@@ -223,6 +249,10 @@ class MetricFamily:
         self._children: Dict[
             Tuple[str, ...], Union[Counter, Gauge, Histogram]
         ] = {}
+        # The same-named family on the global registry; declared on the
+        # first forwarded mutation (families are never dropped, so the
+        # reference stays valid — children are, so they are not kept).
+        self._export_family: Optional["MetricFamily"] = None
 
     def _signature(self) -> tuple:
         return (
@@ -240,15 +270,30 @@ class MetricFamily:
                 f"metric {self.name!r} takes labels "
                 f"{list(self.labelnames)}, got {sorted(labelvalues)}"
             )
-        key = tuple(str(labelvalues[n]) for n in self.labelnames)
+        return self._child(
+            tuple(str(labelvalues[n]) for n in self.labelnames)
+        )
+
+    def _child(self, key: Tuple[str, ...]):
         child = self._children.get(key)
         if child is None:
             with self._lock:
                 child = self._children.get(key)
                 if child is None:
-                    child = _KIND_FACTORY[self.kind](self)
+                    child = _KIND_FACTORY[self.kind](self, key)
                     self._children[key] = child
         return child
+
+    def _exported(self, key: Tuple[str, ...]):
+        """The global registry's child for ``key``, looked up afresh."""
+        target = self._export_family
+        if target is None:
+            target = _GLOBAL._family(
+                self.kind, self.name, self.help, self.labelnames,
+                buckets=self.buckets, scale=self.scale,
+            )
+            self._export_family = target
+        return target._child(key)
 
     def children(self) -> Dict[Tuple[str, ...], object]:
         """A copy of the label-tuple -> instrument mapping."""
@@ -304,7 +349,9 @@ class MetricsRegistry:
     ``enabled`` gates every mutation: instruments created from a
     disabled registry exist (and can be snapshotted — all zeros) but
     record nothing.  :func:`global_registry` returns the process-wide
-    instance used by deep instrumentation sites, disabled by default.
+    instance used by deep instrumentation sites, disabled by default;
+    every other registry forwards its mutations there while it is
+    enabled (see the module docstring).
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -463,9 +510,10 @@ class MetricsRegistry:
         )
 
 
-#: The process-wide registry deep instrumentation records into.
-#: Disabled by default: attaching an exporter (CLI ``--metrics-out``)
-#: enables it for the duration of the run.
+#: The process-wide registry deep instrumentation records into and
+#: every other registry forwards to.  Disabled by default: attaching an
+#: exporter (CLI ``--metrics-out``) enables it for the duration of the
+#: run.
 _GLOBAL = MetricsRegistry(enabled=False)
 
 

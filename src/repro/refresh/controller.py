@@ -59,7 +59,7 @@ from repro.errors import CatalogError, FeedError, RefreshError
 from repro.estimators.epfis import LRUFit, LRUFitConfig
 from repro.estimators.registry import get_estimator
 from repro.obs import instruments
-from repro.obs.metrics import MetricsRegistry, global_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import span as obs_span
 from repro.refresh.drift import DriftReport, compare_statistics
 from repro.resilience.breaker import BreakerPolicy, CircuitBreaker
@@ -310,24 +310,17 @@ class RefreshController:
         self._fit = LRUFit(
             LRUFitConfig(kernel=config.kernel, policy=config.policy)
         )
-        # Truthful counters: a private always-enabled registry (or the
-        # caller's), mirrored onto the process-global registry so
-        # exports carry the refresh families (the same pattern as
-        # ResilientCatalogStore).
+        # Truthful counters, the publish breaker's included, on one
+        # registry: a private always-enabled one (or the caller's),
+        # which forwards to the export while one is attached.
         self._obs_registry = (
             registry if registry is not None else MetricsRegistry()
         )
         self._counters = _bind_refresh_counters(self._obs_registry)
-        shared = global_registry()
-        self._mirror = (
-            _bind_refresh_counters(shared)
-            if shared is not self._obs_registry
-            else None
-        )
         self._breaker = CircuitBreaker(
             config.breaker_policy,
             clock=clock,
-            registry=shared,
+            registry=self._obs_registry,
             name=f"refresh:{config.index_name}",
         )
         # The long-lived engine-cache invalidation probe: an engine
@@ -384,22 +377,8 @@ class RefreshController:
         )
 
     # ------------------------------------------------------------------
-    # Metrics plumbing
+    # Observability
     # ------------------------------------------------------------------
-    def _count(self, key: str, amount: int = 1) -> None:
-        self._counters[key].inc(amount)
-        if self._mirror is not None:
-            self._mirror[key].inc(amount)
-
-    def _count_cycle(self, action: str) -> None:
-        instruments.refresh_cycles(self._obs_registry).labels(
-            action=action
-        ).inc()
-        if self._mirror is not None:
-            instruments.refresh_cycles(global_registry()).labels(
-                action=action
-            ).inc()
-
     def metrics(self) -> Dict[str, object]:
         """Truthful loop counters (all monotone)."""
         cycles = instruments.refresh_cycles(self._obs_registry)
@@ -444,15 +423,12 @@ class RefreshController:
             position=stop, cycle=cycle + 1, previous=candidate
         )
         self._save_state()
-        self._count_cycle(action)
-        elapsed = (time.perf_counter_ns() - started) / 1e9
+        instruments.refresh_cycles(self._obs_registry).labels(
+            action=action
+        ).inc()
         instruments.refresh_cycle_seconds(
             self._obs_registry
-        ).labels().observe(elapsed)
-        if self._mirror is not None:
-            instruments.refresh_cycle_seconds(
-                global_registry()
-            ).labels().observe(elapsed)
+        ).labels().observe(time.perf_counter_ns() - started)
         return CycleResult(
             cycle=cycle,
             start_ref=start,
@@ -522,7 +498,7 @@ class RefreshController:
     ) -> Tuple[str, Optional[int]]:
         if not report.drifted(self.config.drift_threshold):
             return ACTION_SKIPPED, None
-        self._count("drift_detected")
+        self._counters["drift_detected"].inc()
         if not self._breaker.allow():
             return ACTION_BREAKER_OPEN, None
         last_good = self._store.current_version()
@@ -535,12 +511,12 @@ class RefreshController:
         version = self._publish(text)
         if version is not None and self._validate(candidate):
             self._breaker.record_success()
-            self._count("publishes")
+            self._counters["publishes"].inc()
             return ACTION_PUBLISHED, version
         self._quarantine_candidate(cycle, candidate, report)
         self._rollback(last_good, pre_publish)
         self._breaker.record_failure()
-        self._count("rollbacks")
+        self._counters["rollbacks"].inc()
         return ACTION_ROLLED_BACK, version
 
     def _pre_publish_bytes(self) -> Optional[bytes]:
@@ -685,7 +661,7 @@ class RefreshController:
             self.quarantine_dir / f"cycle-{cycle:06d}.json",
             json.dumps(payload, sort_keys=True, indent=2) + "\n",
         )
-        self._count("quarantined")
+        self._counters["quarantined"].inc()
 
     def _rollback(
         self,

@@ -66,11 +66,12 @@ class BreakerPolicy:
 class CircuitBreaker:
     """One breaker instance (the engine keeps one per estimator name).
 
-    When given a :class:`~repro.obs.metrics.MetricsRegistry` (and the
-    estimator ``name`` to label with), every state transition is
-    mirrored onto the ``repro_breaker_state`` gauge and trips onto the
-    ``repro_breaker_opens_total`` counter; without one the breaker only
-    keeps its local ``opens`` count.
+    Every state transition sets the ``repro_breaker_state`` gauge and
+    every trip counts on the ``repro_breaker_opens_total`` counter,
+    both labeled with ``name``, on ``registry`` — or, without one, on
+    the breaker's own always-enabled
+    :class:`~repro.obs.metrics.MetricsRegistry`.  :attr:`opens` reads
+    that counter.
     """
 
     def __init__(
@@ -82,22 +83,27 @@ class CircuitBreaker:
     ) -> None:
         self.policy = policy or BreakerPolicy()
         self._clock = clock
-        self._registry = registry
-        self._obs_name = name
+        if registry is None:
+            registry = MetricsRegistry()
+        self._state_gauge = instruments.breaker_state(registry).labels(
+            estimator=name
+        )
+        self._opens = instruments.breaker_opens(registry).labels(
+            estimator=name
+        )
         self._consecutive_failures = 0
         self._half_open_successes = 0
         self._opened_at = 0.0
-        #: Times the breaker tripped open (observability).
-        self.opens = 0
         self._set_state(BREAKER_CLOSED)
 
     def _set_state(self, state: str) -> None:
         self._state = state
-        registry = self._registry
-        if registry is not None and registry.enabled:
-            instruments.breaker_state(registry).labels(
-                estimator=self._obs_name
-            ).set(instruments.BREAKER_STATE_VALUES[state])
+        self._state_gauge.set(instruments.BREAKER_STATE_VALUES[state])
+
+    @property
+    def opens(self) -> int:
+        """Times the breaker tripped open."""
+        return self._opens.value
 
     @property
     def state(self) -> str:
@@ -144,12 +150,7 @@ class CircuitBreaker:
         self._opened_at = self._clock()
         self._consecutive_failures = 0
         self._half_open_successes = 0
-        self.opens += 1
-        registry = self._registry
-        if registry is not None and registry.enabled:
-            instruments.breaker_opens(registry).labels(
-                estimator=self._obs_name
-            ).inc()
+        self._opens.inc()
 
     def __repr__(self) -> str:
         return (

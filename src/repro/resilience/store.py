@@ -38,7 +38,7 @@ from repro.catalog.store import (
 )
 from repro.errors import CatalogError
 from repro.obs import instruments
-from repro.obs.metrics import MetricsRegistry, global_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience.retry import RetryPolicy, call_with_retry
 
 #: Appended to the catalog file name when a corrupt file is set aside.
@@ -88,27 +88,13 @@ class ResilientCatalogStore(CatalogStore):
         self._sleep = sleep
         self._quarantine_enabled = quarantine
         self._last_good: Optional[SystemCatalog] = None
-        # Recovery counters live on a metrics registry: the store's own
-        # always-enabled one by default (so ``metrics()`` stays truthful
-        # with no setup), or a caller-provided registry.  Increments are
-        # mirrored onto the process-global registry so exports carry
-        # them; the mirror is no-op-cheap while that registry is
-        # disabled.
-        self._obs_registry = (
+        # Recovery counters live on one metrics registry: the store's
+        # own always-enabled one by default (so ``metrics()`` stays
+        # truthful with no setup), or a caller-provided registry, which
+        # forwards to the export while one is attached.
+        self._counters = _bind_catalog_counters(
             registry if registry is not None else MetricsRegistry()
         )
-        self._counters = _bind_catalog_counters(self._obs_registry)
-        shared = global_registry()
-        self._mirror = (
-            _bind_catalog_counters(shared)
-            if shared is not self._obs_registry
-            else None
-        )
-
-    def _count(self, key: str, amount: int = 1) -> None:
-        self._counters[key].inc(amount)
-        if self._mirror is not None:
-            self._mirror[key].inc(amount)
 
     @property
     def quarantine_path(self) -> Path:
@@ -122,7 +108,7 @@ class ResilientCatalogStore(CatalogStore):
         impossible: the file is unreadable or unparseable *and* no
         previous read ever succeeded.
         """
-        self._count("reads")
+        self._counters["reads"].inc()
         try:
             data, retries = call_with_retry(
                 self._read,
@@ -132,7 +118,7 @@ class ResilientCatalogStore(CatalogStore):
                 rng=self._retry_rng,
             )
             if retries:
-                self._count("retries", retries)
+                self._counters["retries"].inc(retries)
         except OSError as exc:
             return self._serve_stale(
                 f"transient read faults exhausted the retry budget "
@@ -164,13 +150,13 @@ class ResilientCatalogStore(CatalogStore):
             self._io.replace(self._path, self.quarantine_path)
         except OSError:
             return
-        self._count("quarantines")
+        self._counters["quarantines"].inc()
 
     def _serve_stale(
         self, reason: str, cause: Exception
     ) -> SystemCatalog:
         if self._last_good is not None:
-            self._count("stale_serves")
+            self._counters["stale_serves"].inc()
             return self._last_good
         raise CatalogError(
             f"catalog {str(self._path)!r} is unavailable and no "

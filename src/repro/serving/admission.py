@@ -30,7 +30,6 @@ from typing import Dict, Optional
 from repro.errors import ServingError
 from repro.obs import instruments
 from repro.obs.metrics import MetricsRegistry
-from repro.serving.obs import DualFamily
 
 #: Admission-control states reported by :meth:`AdmissionController.state`.
 STATE_ACCEPTING = "accepting"
@@ -60,11 +59,8 @@ class AdmissionController:
         self._max_queue = max_queue
         self._closed = False
         self._lock = threading.Lock()
-        self._registry = (
+        self._rejected = instruments.serving_rejected(
             registry if registry is not None else MetricsRegistry()
-        )
-        self._rejected = DualFamily(
-            instruments.serving_rejected, self._registry
         )
         self._last_shed = False
 

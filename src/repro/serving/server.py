@@ -50,7 +50,6 @@ from repro.errors import ReproError, ServingError
 from repro.obs import instruments
 from repro.obs.metrics import NS_TO_SECONDS, MetricsRegistry
 from repro.obs.tracing import span as obs_span
-from repro.serving.obs import DualFamily
 from repro.resilience.breaker import BreakerPolicy
 from repro.serving.admission import (
     DEFAULT_MAX_QUEUE,
@@ -159,27 +158,20 @@ class EstimationServer:
         self._collected = 0
         self._inflight_lock = threading.Lock()
         self._idle = threading.Condition(self._inflight_lock)
-        self._requests = DualFamily(
-            instruments.serving_requests, self._registry
-        )
+        registry = self._registry
+        self._requests = instruments.serving_requests(registry)
         # Bound child handles, cached per tenant: labels() resolution
         # is measurable on the submit hot path.
         self._tenant_counters: Dict[str, object] = {}
-        self._batches = DualFamily(
-            instruments.serving_batches, self._registry
-        ).labels()
-        self._batch_size_family = DualFamily(
-            instruments.serving_batch_size, self._registry
-        )
+        self._batches = instruments.serving_batches(registry).labels()
+        self._batch_size_family = instruments.serving_batch_size(registry)
         self._batch_size = self._batch_size_family.labels()
-        self._depth_gauge = DualFamily(
-            instruments.serving_queue_depth, self._registry
+        self._depth_gauge = instruments.serving_queue_depth(
+            registry
         ).labels()
-        self._latency = DualFamily(
-            instruments.serving_latency, self._registry
-        ).labels()
-        self._advisor_requests = DualFamily(
-            instruments.advisor_grid_requests, self._registry
+        self._latency = instruments.serving_latency(registry).labels()
+        self._advisor_requests = instruments.advisor_grid_requests(
+            registry
         )
         self._started = False
         self._stopping = False

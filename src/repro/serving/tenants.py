@@ -41,7 +41,6 @@ from repro.obs import instruments
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.breaker import BreakerPolicy
 from repro.resilience.store import ResilientCatalogStore
-from repro.serving.obs import DualFamily
 
 #: Tenant engines kept resident per :class:`TenantCatalogs`.
 DEFAULT_TENANT_CACHE = 32
@@ -102,15 +101,13 @@ class TenantCatalogs:
         self._store_factory = store_factory
         self._engines: "OrderedDict[str, EstimationEngine]" = OrderedDict()
         self._lock = threading.Lock()
-        self._evictions = 0
-        self._registry = (
-            registry if registry is not None else MetricsRegistry()
-        )
-        self._active_gauge = DualFamily(
-            instruments.serving_tenants_active, self._registry
+        if registry is None:
+            registry = MetricsRegistry()
+        self._active_gauge = instruments.serving_tenants_active(
+            registry
         ).labels()
-        self._eviction_counter = DualFamily(
-            instruments.serving_tenant_evictions, self._registry
+        self._eviction_counter = instruments.serving_tenant_evictions(
+            registry
         ).labels()
 
     @property
@@ -176,7 +173,6 @@ class TenantCatalogs:
             self._engines[tenant] = engine
             while len(self._engines) > self._cache_size:
                 self._engines.popitem(last=False)
-                self._evictions += 1
                 self._eviction_counter.inc()
             self._active_gauge.set(len(self._engines))
             return engine
@@ -192,7 +188,7 @@ class TenantCatalogs:
             return {
                 "resident": len(self._engines),
                 "cache_size": self._cache_size,
-                "evictions": self._evictions,
+                "evictions": self._eviction_counter.value,
             }
 
     def __repr__(self) -> str:

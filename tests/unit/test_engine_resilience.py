@@ -185,13 +185,15 @@ class TestResilienceMetrics:
             breaker_policy=BreakerPolicy(failure_threshold=2),
         )
         engine.estimate("t.a", boom, SEL, 50)
-        rollup = engine.resilience_metrics()
-        assert rollup["degraded_serves"] == 1
-        assert rollup["errors"] == 1
-        assert rollup["breaker_state"] == {
+        metrics = engine.metrics()
+        assert metrics["boom"]["degraded_serves"] == 1
+        assert metrics["boom"]["errors"] == 1
+        assert metrics["unclustered"]["calls"] == 1
+        assert engine.breaker_states() == {
             "boom": "closed", "unclustered": "closed",
         }
-        assert "catalog" not in rollup  # plain SystemCatalog source
+        # A plain SystemCatalog source keeps no store counters.
+        assert not hasattr(engine.source, "metrics")
 
     def test_rollup_includes_resilient_store_metrics(self, tmp_path):
         from repro.catalog import SystemCatalog
@@ -204,13 +206,11 @@ class TestResilienceMetrics:
         store = ResilientCatalogStore(path, sleep=lambda _t: None)
         engine = EstimationEngine(store, fallback_chain=["unclustered"])
         engine.estimate("t.a", "epfis", SEL, 50)
-        rollup = engine.resilience_metrics()
-        assert rollup["catalog"]["reads"] >= 1
-        assert rollup["catalog"]["has_last_good"] is True
+        catalog_metrics = engine.source.metrics()
+        assert catalog_metrics["reads"] >= 1
+        assert catalog_metrics["has_last_good"] is True
 
     def test_plain_engine_rollup_is_empty(self):
         engine = _engine()
-        rollup = engine.resilience_metrics()
-        assert rollup["degraded_serves"] == 0
-        assert rollup["errors"] == 0
-        assert rollup["breaker_state"] == {}
+        assert engine.metrics() == {}
+        assert engine.breaker_states() == {}

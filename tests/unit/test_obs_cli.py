@@ -190,6 +190,53 @@ class TestExperimentExports:
         assert "error:" in capsys.readouterr().err
 
 
+class TestServingExport:
+    def test_loadgen_export_counts_every_request(
+        self, tmp_path, capsys
+    ):
+        from repro.perf.serving import provision_tenants
+
+        requests, tenants = 300, 2
+        root = tmp_path / "tenants"
+        provision_tenants(root, tenant_count=tenants, records=1500)
+        metrics_file = tmp_path / "serving.prom"
+        assert main([
+            "loadgen",
+            "--tenant-root", str(root),
+            "--requests", str(requests),
+            "--clients", "1",
+            "--metrics-out", str(metrics_file),
+        ]) == 0
+        capsys.readouterr()
+        text = metrics_file.read_text(encoding="utf-8")
+        assert check_prometheus_text(text) == []
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in text.splitlines()
+            if not line.startswith("#")
+        )
+        per_tenant = [
+            int(value)
+            for key, value in samples.items()
+            if key.startswith("repro_serving_requests_total{")
+        ]
+        assert len(per_tenant) == tenants
+        assert sum(per_tenant) == requests
+        assert samples[
+            'repro_engine_estimates_total{estimator="epfis"}'
+        ] == str(requests)
+        assert samples["repro_serving_latency_seconds_count"] == str(
+            requests
+        )
+        # One closed-loop client: every batch holds one request.
+        assert samples["repro_serving_batches_total"] == str(requests)
+        # Pool discovery reads each tenant's catalog once more.
+        assert samples["repro_catalog_reads_total"] == str(
+            requests + tenants
+        )
+        assert samples["repro_serving_tenants_active"] == str(tenants)
+
+
 class TestVerifyExport:
     @pytest.mark.slow
     def test_verify_emits_case_spans(self, tmp_path):

@@ -1,13 +1,14 @@
 """Instrumentation-site tests: kernels, checkpoints, engine, store,
-and breakers recording onto the metrics registry — with the legacy
-``metrics()`` dict shapes pinned by equality."""
+breakers, serving and refresh recording onto the metrics registry —
+with the legacy ``metrics()`` dict shapes pinned by equality, and the
+forwarding of component registries into the export."""
 
 import json
 
 import pytest
 
 from repro.buffer.kernels import available_kernels, get_kernel
-from repro.catalog import SystemCatalog
+from repro.catalog import CatalogStore, SystemCatalog
 from repro.engine import EstimationEngine
 from repro.estimators import LRUFit
 from repro.obs import instruments
@@ -16,6 +17,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     global_registry,
 )
+from repro.obs.session import observability_session
+from repro.refresh import DriftingFeed, RefreshConfig, RefreshController
 from repro.resilience import (
     BreakerPolicy,
     Checkpointer,
@@ -23,6 +26,8 @@ from repro.resilience import (
     CircuitBreaker,
     ResilientCatalogStore,
 )
+from repro.serving import EstimateRequest, EstimationServer
+from repro.trace.paper_scale import PaperScaleSpec
 from repro.types import ScanSelectivity
 
 TRACE = [0, 1, 2, 0, 1, 3, 0, 2, 1, 0]
@@ -141,15 +146,6 @@ class TestEngineMigration:
             1e6 * stats["seconds"] / stats["calls"]
         )
         assert json.dumps(metrics)  # stays JSON-serializable
-
-    def test_resilience_metrics_shape_pinned(self, catalog):
-        engine = EstimationEngine(catalog)
-        rollup = engine.resilience_metrics()
-        assert rollup == {
-            "degraded_serves": 0,
-            "errors": 0,
-            "breaker_state": {},
-        }
 
     def test_reset_metrics(self, catalog):
         engine = EstimationEngine(catalog)
@@ -277,3 +273,81 @@ class TestStandardFamilies:
         # Label-less families materialize an explicit zero sample.
         reads = registry.get(instruments.CATALOG_READS_TOTAL)
         assert reads.children() != {}
+
+
+def _export(path, body):
+    """Run ``body`` inside one export session; the exported samples."""
+    with observability_session(metrics_out=str(path)):
+        body()
+    return dict(
+        line.rsplit(" ", 1)
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if not line.startswith("#")
+    )
+
+
+class TestComponentOutlivesExportSession:
+    """A long-lived component feeds every export session, not only the
+    first.  Regression: each global mirror cached the child it bound
+    before the first session's ``clear()`` dropped it, so the second
+    session exported 0 for every such family."""
+
+    def test_catalog_store(self, catalog, tmp_path):
+        path = tmp_path / "catalog.json"
+        catalog.save(path)
+        store = ResilientCatalogStore(path)
+
+        def reads(count):
+            return lambda: [store.catalog() for _ in range(count)]
+
+        _export(tmp_path / "first.prom", reads(3))
+        samples = _export(tmp_path / "second.prom", reads(5))
+        assert samples[instruments.CATALOG_READS_TOTAL] == "5"
+        assert store.metrics()["reads"] == 8
+
+    def test_estimation_server(self, catalog, tmp_path):
+        root = tmp_path / "tenants"
+        (root / "t0").mkdir(parents=True)
+        catalog.save(root / "t0" / "catalog.json")
+        request = EstimateRequest(
+            tenant="t0",
+            index=list(catalog)[0],
+            estimator="epfis",
+            sigma=0.1,
+            buffer_pages=10,
+        )
+
+        with EstimationServer(root) as server:
+
+            def requests(count):
+                return lambda: [
+                    server.estimate(request) for _ in range(count)
+                ]
+
+            _export(tmp_path / "first.prom", requests(3))
+            samples = _export(tmp_path / "second.prom", requests(5))
+            assert server.metrics()["requests"] == 8
+        assert samples[instruments.SERVING_BATCHES_TOTAL] == "5"
+        requests_total = instruments.SERVING_REQUESTS_TOTAL
+        assert samples[f'{requests_total}{{tenant="t0"}}'] == "5"
+
+    def test_refresh_controller(self, tmp_path):
+        controller = RefreshController(
+            CatalogStore(tmp_path / "catalog.json", history=4),
+            DriftingFeed.stationary(
+                PaperScaleSpec(refs=1, pages=120, pattern="zipf", seed=7)
+            ),
+            RefreshConfig(
+                index_name="orders_idx",
+                window_refs=4_000,
+                checkpoint_every=1_000,
+                drift_threshold=0.0,
+            ),
+            tmp_path / "state",
+        )
+        _export(tmp_path / "first.prom", lambda: controller.run(1))
+        samples = _export(
+            tmp_path / "second.prom", lambda: controller.run(2)
+        )
+        assert samples[instruments.REFRESH_PUBLISHES_TOTAL] == "2"
+        assert controller.metrics()["publishes"] == 3

@@ -62,3 +62,19 @@ class TestRefreshExporter:
         )
         assert f"{REFRESH_PUBLISHES_TOTAL} " in text
         assert f"{REFRESH_CYCLE_SECONDS}_count 2" in text
+        # Cycle time is observed in integer nanoseconds like every
+        # duration, so the export reads seconds: regression for float
+        # seconds observed into the nanosecond histogram, which put
+        # ~30 ms cycles in the 1 us bucket with a ~6e-11 s sum.
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in text.splitlines()
+            if not line.startswith("#")
+        )
+        assert float(samples[f"{REFRESH_CYCLE_SECONDS}_sum"]) >= 1e-4
+        buckets = [
+            value
+            for key, value in samples.items()
+            if key.startswith(f"{REFRESH_CYCLE_SECONDS}_bucket")
+        ]
+        assert buckets[0] == "0"  # le = 1 us
