@@ -20,6 +20,7 @@ imports, keeping the package zero-dependency.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from typing import Iterable, List
 
@@ -35,6 +36,48 @@ except ImportError:  # pragma: no cover
 
 #: True when numpy imported and the kernel is usable.
 HAVE_NUMPY = _np is not None
+
+_INT64_MAX = (1 << 63) - 1
+
+
+def _exact_page(page) -> int:
+    """``page`` as an int int64 holds exactly, or :class:`TraceError`.
+
+    Integral floats are the same page as their int (``2.0 == 2``), as
+    in the dict-keyed kernels; anything else must be an integer.
+    """
+    try:
+        if isinstance(page, (float, _np.floating)):
+            value = int(page) if float(page).is_integer() else None
+        else:
+            value = operator.index(page)
+    except TypeError:
+        value = None
+    if value is None or not -_INT64_MAX - 1 <= value <= _INT64_MAX:
+        raise TraceError(
+            f"the numpy kernel needs page ids int64 holds exactly, "
+            f"got {page!r}"
+        )
+    return value
+
+
+def _page_array(pages: list):
+    """``pages`` as an int64 array; never truncates or wraps an id.
+
+    The common case — plain ints that fit — converts in one numpy call.
+    Anything else (numpy promotes an int past int64 to float64, mixed
+    types to float or str, and nests or rejects sequences) takes a
+    checked per-element path over the original objects.
+    """
+    try:
+        arr = _np.asarray(pages)
+    except ValueError:  # ragged nested sequences
+        arr = None
+    if arr is not None and arr.ndim == 1 and arr.dtype.kind in "ib":
+        return arr.astype(_np.int64, copy=False)
+    return _np.fromiter(
+        map(_exact_page, pages), dtype=_np.int64, count=len(pages)
+    )
 
 
 def _vectorized_distances(pages) -> "tuple[list, int]":
@@ -100,9 +143,8 @@ class _VectorizedStream(KernelStream):
         self._chunks: List = []  # one int64 ndarray per fed chunk
 
     def _consume(self, pages: Iterable[int]) -> None:
-        arr = _np.asarray(
-            pages if isinstance(pages, (list, tuple)) else list(pages),
-            dtype=_np.int64,
+        arr = _page_array(
+            pages if isinstance(pages, (list, tuple)) else list(pages)
         )
         if arr.size:
             self._chunks.append(arr)

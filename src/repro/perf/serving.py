@@ -25,9 +25,11 @@ stream:
 * **one-request-per-call baseline** — the serving path with batching
   disabled (``max_batch=1``) at the same 8 concurrent clients: every
   request pays the full engine-call fixed cost (one catalog read and
-  byte comparison, binding-cache lookup, metrics) plus one dispatcher
-  round-trip.  This is the baseline the speedup criterion is defined
-  against — same clients, same stream, batching off.
+  byte comparison, binding-cache lookup, metrics), and a request whose
+  client finds the server busy also pays one dispatcher round-trip
+  (a lone request runs inline on its client's thread in both modes).
+  This is the baseline the speedup criterion is defined against — same
+  clients, same stream, batching off.
 * **closed loop, batched** — the same stream through
   :class:`~repro.serving.server.EstimationServer` with 8 concurrent
   clients (:func:`~repro.serving.loadgen.run_closed_loop`): concurrency
@@ -271,7 +273,7 @@ def run_serving_benchmark(
         # Closed-loop repetitions, interleaved so drift (cache state,
         # host load) hits both modes alike.  The baseline is the same
         # clients and stream with batching off — every request is its
-        # own engine call through the dispatcher.
+        # own engine call, on the dispatcher or (server idle) inline.
         unbatched_config = ServingConfig(
             max_batch=1, batch_window_ms=0.0,
             max_queue=len(requests) + 1,

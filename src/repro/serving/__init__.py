@@ -6,8 +6,10 @@ package turns the in-process :class:`~repro.engine.EstimationEngine`
 into that service:
 
 * :mod:`repro.serving.server` — the micro-batching request loop
-  (:class:`EstimationServer`): concurrent submissions coalesce into the
-  engine's ``estimate_many`` fast path, byte-identical to serial calls;
+  (:class:`EstimationServer`): a lone request runs on its caller's
+  thread, concurrent submissions coalesce into the engine's
+  ``estimate_many`` fast path, and both are byte-identical to serial
+  calls;
 * :mod:`repro.serving.tenants` — per-tenant catalog namespaces over
   :class:`~repro.resilience.store.ResilientCatalogStore`
   (:class:`TenantCatalogs`): isolated directories, independent

@@ -293,7 +293,9 @@ def run_closed_loop(
     barrier = threading.Barrier(clients + 1)
     # One tally per worker, merged after the join: a shared lock on the
     # record path would sit directly on the closed-loop critical path
-    # (the dispatcher's batch window waits on client turnaround).
+    # (a client's turnaround between an answer and its next request is
+    # part of every closed-loop cycle, and the server batches only the
+    # requests that are in flight together).
     tallies = [_Tally() for _ in range(clients)]
 
     def worker(

@@ -10,17 +10,27 @@ happen only when the bytes changed), the binding-cache lookup, metrics
 amortizes that overhead the way a high-QPS service does:
 
 * **request loop** — callers :meth:`submit` requests from any thread
-  and get a :class:`concurrent.futures.Future`; a small pool of
-  dispatcher threads (one by default — see ``DEFAULT_DISPATCHERS``)
-  answers them.  :meth:`grid` and :meth:`advise` run on the caller's
-  thread against the same tenant engine, which guards its catalog
-  access and binding cache with its own lock;
+  and get a :class:`concurrent.futures.Future`, which one dispatcher
+  thread answers.  A synchronous :meth:`estimate` caller (which is
+  what :meth:`respond`, the TCP front end and the in-process load
+  generator use) that finds the server *idle* — nothing admitted in
+  flight and no other caller inside :meth:`estimate` — runs its
+  request on its own thread instead, through the same grouping and
+  ``estimate_many`` code, so a lone request pays neither the queue
+  hand-off to the dispatcher nor the wake-up back.  :meth:`grid` and
+  :meth:`advise` run on the caller's thread against the same tenant
+  engine, which guards its catalog access and binding cache with its
+  own lock;
 * **micro-batching** — the dispatcher drains whatever is queued, waits
   up to ``batch_window_ms`` for stragglers, groups requests by
   ``(tenant, index, estimator, options)`` and answers each group with
   **one** :meth:`~repro.engine.EstimationEngine.estimate_many` call —
   the existing batched fast path, so results are byte-identical to N
-  serial ``engine.estimate`` calls (property-tested);
+  serial ``engine.estimate`` calls (property-tested).  Only one batch
+  executes at a time: the dispatcher holds the executor lock from its
+  first request until its batch is answered, and an idle caller that
+  finds the lock held queues its request, so requests that arrive
+  during an inline run coalesce into the dispatcher's next batch;
 * **admission control** — queue-depth shedding through
   :class:`~repro.serving.admission.AdmissionController`; every shed
   request is counted, so ``sent == completed + rejected`` always;
@@ -31,8 +41,8 @@ amortizes that overhead the way a high-QPS service does:
   same batch still answer.
 
 Shutdown is truthful too: :meth:`close` stops admission, **drains**
-everything already admitted (every accepted future completes), then
-joins the dispatcher.
+everything already admitted (every accepted future completes, inline
+runs included), then joins the dispatcher.
 """
 
 from __future__ import annotations
@@ -72,24 +82,25 @@ from repro.types import ScanSelectivity
 DEFAULT_BATCH_WINDOW_MS = 2.0
 #: Most requests coalesced into one engine call.
 DEFAULT_MAX_BATCH = 64
-#: Dispatcher threads draining the shared queue.  One is the right
-#: default under the GIL: extra dispatchers split the arriving burst
-#: into smaller batches (halving the amortization that pays for the
-#: serving tier) without adding engine parallelism, since the engine's
-#: work is pure Python.  The knob exists for engines that release the
-#: GIL (or future subinterpreter builds).
-DEFAULT_DISPATCHERS = 1
 
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Tuning knobs for one :class:`EstimationServer`."""
+    """Tuning knobs for one :class:`EstimationServer`.
+
+    ``batch_window_ms`` and ``max_batch`` shape the dispatcher's
+    batches; ``max_queue`` is the admission bound on requests in
+    flight; ``tenant_cache`` bounds resident tenant engines;
+    ``fallback_chain`` and ``breaker_policy`` configure every tenant
+    engine's degraded mode.  There is one dispatcher thread and no knob
+    for more: only one batch executes at a time, so extra dispatchers
+    would only split batches.
+    """
 
     batch_window_ms: float = DEFAULT_BATCH_WINDOW_MS
     max_batch: int = DEFAULT_MAX_BATCH
     max_queue: int = DEFAULT_MAX_QUEUE
     tenant_cache: int = DEFAULT_TENANT_CACHE
-    dispatchers: int = DEFAULT_DISPATCHERS
     fallback_chain: Optional[Tuple[str, ...]] = None
     breaker_policy: Optional[BreakerPolicy] = None
 
@@ -103,18 +114,14 @@ class ServingConfig:
             raise ServingError(
                 f"max_batch must be >= 1, got {self.max_batch}"
             )
-        if self.dispatchers < 1:
-            raise ServingError(
-                f"dispatchers must be >= 1, got {self.dispatchers}"
-            )
 
 
 class _Pending:
-    """One admitted request riding the queue with its future.
+    """One admitted request with its future.
 
     ``selectivity`` carries the :class:`ScanSelectivity` already built
-    (and thereby validated) during admission, so the dispatcher does
-    not construct it a second time on the hot path.
+    (and thereby validated) during admission, so execution does not
+    construct it a second time on the hot path.
     """
 
     __slots__ = ("request", "future", "selectivity", "enqueued_ns")
@@ -129,7 +136,7 @@ class _Pending:
 
 
 class EstimationServer:
-    """Serve estimate requests through a micro-batching dispatcher."""
+    """Serve estimate requests: inline when idle, else micro-batched."""
 
     def __init__(
         self,
@@ -154,10 +161,16 @@ class EstimationServer:
             self._config.max_queue, registry=self._registry
         )
         self._queue: "queue.Queue[_Pending]" = queue.Queue()
+        # Admitted requests not yet answered, and synchronous callers
+        # inside estimate(); both guarded by _inflight_lock.
         self._inflight = 0
-        self._collected = 0
+        self._callers = 0
         self._inflight_lock = threading.Lock()
         self._idle = threading.Condition(self._inflight_lock)
+        # Held by whoever executes a batch: the dispatcher from its
+        # first request until the batch is answered, or an idle caller
+        # running its own request.  One batch executes at a time.
+        self._executor = threading.Lock()
         registry = self._registry
         self._requests = instruments.serving_requests(registry)
         # Bound child handles, cached per tenant: labels() resolution
@@ -175,24 +188,20 @@ class EstimationServer:
         )
         self._started = False
         self._stopping = False
-        self._dispatchers = [
-            threading.Thread(
-                target=self._dispatch_loop,
-                name=f"repro-serving-dispatcher-{k}",
-                daemon=True,
-            )
-            for k in range(self._config.dispatchers)
-        ]
+        self._dispatcher = threading.Thread(
+            target=self._dispatch_loop,
+            name="repro-serving-dispatcher",
+            daemon=True,
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "EstimationServer":
-        """Start the dispatcher pool (idempotent)."""
+        """Start the dispatcher thread (idempotent)."""
         if not self._started:
             self._started = True
-            for dispatcher in self._dispatchers:
-                dispatcher.start()
+            self._dispatcher.start()
         return self
 
     def __enter__(self) -> "EstimationServer":
@@ -204,10 +213,10 @@ class EstimationServer:
     def close(self, timeout: Optional[float] = None) -> None:
         """Stop admission, drain every admitted request, stop.
 
-        Every future handed out by :meth:`submit` before the close is
-        completed (with a result or an estimator error) before the
-        dispatcher exits — shutdown never silently drops an admitted
-        request.
+        Every request admitted before the close — queued or running
+        inline on its caller's thread — is completed (with a result or
+        an estimator error) before the dispatcher exits: shutdown never
+        silently drops an admitted request.
         """
         self._admission.close()
         with self._idle:
@@ -216,8 +225,7 @@ class EstimationServer:
             )
         self._stopping = True
         if self._started:
-            for dispatcher in self._dispatchers:
-                dispatcher.join(timeout=timeout)
+            self._dispatcher.join(timeout=timeout)
 
     # ------------------------------------------------------------------
     # Submission
@@ -248,13 +256,15 @@ class EstimationServer:
         except ValueError as exc:
             raise self._admission.reject_invalid(str(exc)) from None
 
-    def submit(self, request: EstimateRequest) -> "Future[float]":
-        """Admit ``request`` and return its future, or raise.
+    def _admit(
+        self, request: EstimateRequest, caller: bool = False
+    ) -> Tuple[_Pending, bool]:
+        """Validate, admit and count ``request``.
 
-        Raises :class:`~repro.errors.ServingError` when the request is
-        malformed or admission sheds it; both paths increment the
-        truthful ``rejected`` counter first.  The returned future
-        resolves to the estimate, or raises the estimator's own error.
+        ``caller`` marks a synchronous :meth:`estimate` caller, which
+        stays counted in ``_callers`` until it leaves.  Also returns
+        whether the server was idle at admission: nothing in flight
+        and no synchronous caller inside :meth:`estimate`.
         """
         if not self._started:
             raise ServingError(
@@ -264,24 +274,59 @@ class EstimationServer:
         selectivity = self._validate(request)
         with self._inflight_lock:
             self._admission.admit(self._inflight)
+            idle = self._inflight == 0 and self._callers == 0
             self._inflight += 1
+            self._callers += caller
         pending = _Pending(request, selectivity)
         counter = self._tenant_counters.get(request.tenant)
         if counter is None:
             counter = self._requests.labels(tenant=request.tenant)
             self._tenant_counters[request.tenant] = counter
         counter.inc()
+        return pending, idle
+
+    def submit(self, request: EstimateRequest) -> "Future[float]":
+        """Admit ``request`` and return its future, or raise.
+
+        Raises :class:`~repro.errors.ServingError` when the request is
+        malformed or admission sheds it; both paths increment the
+        truthful ``rejected`` counter first.  The returned future
+        resolves to the estimate, or raises the estimator's own error.
+        """
+        pending, _ = self._admit(request)
         self._queue.put(pending)
         return pending.future
 
     def estimate(
         self, request: EstimateRequest, timeout: Optional[float] = None
     ) -> float:
-        """Synchronous convenience: submit and wait for the answer."""
-        return self.submit(request).result(timeout=timeout)
+        """Admit ``request`` and return its estimate, or raise.
+
+        Raises like :meth:`submit`, or with the estimator's own error.
+        When the server is idle the request runs on this thread; else
+        it is queued for the dispatcher and ``timeout`` bounds the
+        wait.  The caller count is what keeps this fair: a thread
+        looping on :meth:`estimate` would otherwise keep finding the
+        server idle and run request after request while holding the
+        GIL, starving the callers the dispatcher has just answered —
+        they still count here until they return.
+        """
+        pending, idle = self._admit(request, caller=True)
+        try:
+            if idle and self._executor.acquire(blocking=False):
+                try:
+                    self._execute([pending])
+                finally:
+                    self._executor.release()
+            else:
+                self._queue.put(pending)
+            return pending.future.result(timeout=timeout)
+        finally:
+            with self._inflight_lock:
+                self._callers -= 1
 
     def respond(self, request: EstimateRequest) -> EstimateResponse:
-        """Submit and package the outcome as a wire response.
+        """:meth:`estimate` packaged as a wire response.
 
         Rejections and estimator failures both become truthful
         ``ok=false`` responses instead of exceptions — the TCP front
@@ -438,21 +483,17 @@ class EstimationServer:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _collect_batch(self) -> List[_Pending]:
-        """Block for one request, then coalesce the window's worth.
+    def _collect_batch(self, first: _Pending) -> List[_Pending]:
+        """Coalesce the window's worth of requests after ``first``.
 
-        The window closes early once every admitted request is either
-        in this batch or already executing on another dispatcher:
-        nothing else *can* arrive until some future resolves (their
-        closed-loop callers are blocked on them), so waiting out the
-        window would add latency without adding batch size.  Open-loop
-        arrivals that land after the early close simply seed the next
-        batch.
+        Runs under the executor lock, so nothing else is executing:
+        the window closes early once every admitted request is in this
+        batch.  Nothing else *can* arrive until some future resolves
+        (their closed-loop callers are blocked on them), so waiting out
+        the window would add latency without adding batch size.
+        Open-loop arrivals that land after the early close simply seed
+        the next batch.
         """
-        try:
-            first = self._queue.get(timeout=0.05)
-        except queue.Empty:
-            return []
         batch = [first]
         deadline = (
             time.perf_counter()
@@ -460,7 +501,7 @@ class EstimationServer:
         )
         while len(batch) < self._config.max_batch:
             with self._inflight_lock:
-                if len(batch) + self._collected >= self._inflight:
+                if len(batch) >= self._inflight:
                     break
             remaining = deadline - time.perf_counter()
             if remaining <= 0:
@@ -479,17 +520,18 @@ class EstimationServer:
 
     def _dispatch_loop(self) -> None:
         while True:
-            batch = self._collect_batch()
-            if not batch:
+            try:
+                first = self._queue.get(timeout=0.05)
+            except queue.Empty:
                 if self._stopping:
                     return
                 continue
-            self._depth_gauge.set(self._queue.qsize())
-            self._execute(batch)
+            with self._executor:
+                batch = self._collect_batch(first)
+                self._depth_gauge.set(self._queue.qsize())
+                self._execute(batch)
 
     def _execute(self, batch: List[_Pending]) -> None:
-        with self._inflight_lock:
-            self._collected += len(batch)
         groups: "OrderedDict[Tuple, List[_Pending]]" = OrderedDict()
         for pending in batch:
             groups.setdefault(
@@ -501,7 +543,6 @@ class EstimationServer:
             self._execute_group(key, members)
         with self._idle:
             self._inflight -= len(batch)
-            self._collected -= len(batch)
             if self._inflight == 0:
                 self._idle.notify_all()
 

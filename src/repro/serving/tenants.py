@@ -69,7 +69,8 @@ def validate_tenant_name(name: object) -> str:
 class TenantCatalogs:
     """An LRU-bounded map of tenant name -> isolated serving engine.
 
-    Thread-safe: the serving tier's dispatcher and any management
+    Thread-safe: the serving tier's executing thread (its dispatcher
+    or an idle caller), its grid/advise callers and any management
     thread (provisioning a tenant, listing tenants) may call in
     concurrently.  ``engine_options`` are forwarded to every
     :class:`~repro.engine.EstimationEngine` built (``fallback_chain``,

@@ -284,6 +284,24 @@ class TestVectorizedKernel:
             list(range(64)),
             list(range(64)) * 3,
             [0, 1] * 100,
+            # Ids int64 holds exactly, including integral floats.
+            [2.0, 2, 3],
+            [True, 1, True],
+            [2 ** 63 - 1, -(2 ** 63), 2 ** 63 - 1],
         ]
         for trace in cases:
             assert kernel.analyze(trace) == FetchCurve.from_trace(trace)
+
+    @pytest.mark.parametrize("trace", [
+        [1.5, 1, 1.5, 1],       # int64 would truncate 1.5 to page 1
+        [2 ** 70, 1, 2 ** 70],  # too wide for int64
+        ["a", "b", "a"],        # not a number at all
+    ])
+    def test_page_ids_int64_cannot_hold_raise_trace_error(self, trace):
+        kernel = get_kernel("numpy")
+        with pytest.raises(TraceError, match="int64"):
+            kernel.analyze(trace)
+        stream = kernel.stream()
+        stream.feed([0, 1])
+        with pytest.raises(TraceError, match="int64"):
+            stream.feed(trace)

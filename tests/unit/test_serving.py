@@ -9,9 +9,14 @@ property lives in ``tests/property/test_serving_properties.py``.
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 
 import pytest
 
+from repro.engine import EstimationEngine
 from repro.errors import ReproError, ServingError
 from repro.perf.serving import provision_tenants
 from repro.serving import (
@@ -314,8 +319,6 @@ class TestServerValidation:
             ServingConfig(batch_window_ms=-1.0)
         with pytest.raises(ServingError, match="max_batch"):
             ServingConfig(max_batch=0)
-        with pytest.raises(ServingError, match="dispatchers"):
-            ServingConfig(dispatchers=0)
 
 
 class TestServerAdmission:
@@ -361,6 +364,285 @@ class TestServerBatching:
         histogram = metrics["batch_size_histogram"]
         assert sum(histogram.values()) == metrics["batches"]
         assert metrics["mean_batch_size"] >= 1.0
+
+
+class _EngineCalls:
+    """Wraps ``EstimationEngine.estimate_many`` at class level.
+
+    Records, in order, each call's entry and exit with the running
+    thread's name, and the most calls ever running at once.  ``hook``,
+    when set, runs inside the call before the engine does.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.events = []
+        self.running = 0
+        self.max_running = 0
+        self.hook = None
+        lock = threading.Lock()
+        raw = EstimationEngine.estimate_many
+
+        def estimate_many(engine, *args, **kwargs):
+            name = threading.current_thread().name
+            with lock:
+                self.events.append(("enter", name))
+                self.running += 1
+                self.max_running = max(self.max_running, self.running)
+            try:
+                if self.hook is not None:
+                    self.hook()
+                return raw(engine, *args, **kwargs)
+            finally:
+                with lock:
+                    self.running -= 1
+                    self.events.append(("exit", name))
+
+        monkeypatch.setattr(
+            EstimationEngine, "estimate_many", estimate_many
+        )
+
+    def threads(self):
+        return [name for kind, name in self.events if kind == "enter"]
+
+
+class TestInlineWhenIdle:
+    """A lone synchronous caller runs its own request; others batch."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return _EngineCalls(monkeypatch)
+
+    def test_idle_caller_runs_on_its_own_thread(self, tenant_root,
+                                                hot_index, calls):
+        with EstimationServer(tenant_root) as server:
+            value = server.estimate(_request(index=hot_index))
+            metrics = server.metrics()
+        assert calls.threads() == [threading.current_thread().name]
+        assert math.isfinite(value) and value > 0
+        # An inline run is one batch of size 1, counted like any other.
+        assert metrics["requests"] == metrics["completed"] == 1
+        assert metrics["batches"] == 1
+        assert metrics["batch_size_histogram"] == {"<=1": 1}
+
+    def test_every_exit_path_uncounts_the_caller(self, tenant_root,
+                                                 hot_index, calls):
+        # A caller count leaked by a rejection, an estimator error or a
+        # timed-out wait would send every later lone request through
+        # the dispatcher hand-off.
+        me = threading.current_thread().name
+        entered, release = threading.Event(), threading.Event()
+        with EstimationServer(tenant_root) as server:
+            with pytest.raises(ServingError, match="invalid tenant"):
+                server.estimate(_request(tenant="../evil",
+                                         index=hot_index))
+            with pytest.raises(ReproError):
+                server.estimate(_request(index=hot_index,
+                                         estimator="nope"))
+            server.estimate(_request(index=hot_index))
+            assert calls.threads() == [me, me]
+
+            def block_next_call():
+                if not entered.is_set():
+                    entered.set()
+                    assert release.wait(timeout=30.0)
+
+            calls.hook = block_next_call
+            blocked = threading.Thread(
+                target=server.estimate, args=(_request(index=hot_index),)
+            )
+            blocked.start()
+            assert entered.wait(timeout=30.0)
+            with pytest.raises(FutureTimeout):
+                server.estimate(_request(index=hot_index), timeout=0.01)
+            release.set()
+            blocked.join(timeout=30.0)
+            assert not blocked.is_alive()
+        # close() drained the timed-out request; nobody is left inside.
+        assert server._callers == server._inflight == 0
+        assert server.metrics()["completed"] == 4
+
+    def test_request_arriving_mid_run_waits_for_the_dispatcher(
+        self, tenant_root, hot_index, calls, monkeypatch
+    ):
+        entered, release, contended = (
+            threading.Event() for _ in "abc"
+        )
+
+        def block_first_call():
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(timeout=30.0)
+
+        calls.hook = block_first_call
+        results = {}
+
+        def call(name, sigma):
+            results[name] = server.estimate(
+                _request(index=hot_index, sigma=sigma)
+            )
+
+        class ExecutorLock:
+            """The server's executor lock, flagging a blocked acquire."""
+
+            def __init__(self, lock):
+                self._lock = lock
+
+            def acquire(self, blocking=True):
+                if self._lock.acquire(blocking=False):
+                    return True
+                if blocking:
+                    contended.set()
+                    return self._lock.acquire()
+                return False
+
+            def release(self):
+                self._lock.release()
+
+            def __enter__(self):
+                return self.acquire()
+
+            def __exit__(self, *exc_info):
+                self.release()
+
+        with EstimationServer(tenant_root) as server:
+            monkeypatch.setattr(
+                server, "_executor", ExecutorLock(server._executor)
+            )
+            first = threading.Thread(target=call, args=("a", 0.1),
+                                     name="caller-a")
+            second = threading.Thread(target=call, args=("b", 0.2),
+                                      name="caller-b")
+            first.start()
+            assert entered.wait(timeout=30.0)
+            second.start()
+            # B found A's request in flight and queued; the dispatcher
+            # took it and now waits for A's run to finish.
+            assert contended.wait(timeout=30.0)
+            release.set()
+            first.join(timeout=30.0)
+            second.join(timeout=30.0)
+            assert not first.is_alive() and not second.is_alive()
+        assert calls.events == [
+            ("enter", "caller-a"),
+            ("exit", "caller-a"),
+            ("enter", "repro-serving-dispatcher"),
+            ("exit", "repro-serving-dispatcher"),
+        ]
+        assert calls.max_running == 1
+        assert set(results) == {"a", "b"}
+
+    def test_caller_still_inside_estimate_keeps_the_next_off_inline(
+        self, tenant_root, hot_index, calls, monkeypatch
+    ):
+        # A's request is answered and nothing is in flight, but A has
+        # not returned from estimate() yet: B must queue, not run
+        # inline while A still waits to be scheduled.
+        answered, release = threading.Event(), threading.Event()
+        raw_result = Future.result
+
+        def result(future, timeout=None):
+            value = raw_result(future, timeout)
+            if threading.current_thread().name == "caller-a":
+                answered.set()
+                assert release.wait(timeout=30.0)
+            return value
+
+        monkeypatch.setattr(Future, "result", result)
+        with EstimationServer(tenant_root) as server:
+            first = threading.Thread(
+                target=server.estimate,
+                args=(_request(index=hot_index),),
+                name="caller-a",
+            )
+            first.start()
+            assert answered.wait(timeout=30.0)
+            server.estimate(_request(index=hot_index, sigma=0.2))
+            release.set()
+            first.join(timeout=30.0)
+            assert not first.is_alive()
+        assert calls.threads() == ["caller-a", "repro-serving-dispatcher"]
+
+    def test_mixed_callers_never_overlap_and_equal_serial(
+        self, tenant_root, indexes, monkeypatch
+    ):
+        tenants = TenantCatalogs(tenant_root)
+        threads, per_thread = 8, 24
+        plans = [
+            [
+                _request(
+                    tenant=f"tenant-{(t + i) % 2}",
+                    index=indexes[f"tenant-{(t + i) % 2}"],
+                    sigma=0.05 * (1 + (t * per_thread + i) % 7),
+                    buffers=4 + (t * 5 + i * 3) % 60,
+                    request_id=t * per_thread + i,
+                )
+                for i in range(per_thread)
+            ]
+            for t in range(threads)
+        ]
+        expected = {
+            r.request_id: tenants.engine(r.tenant).estimate(
+                r.index, r.estimator, ScanSelectivity(r.sigma),
+                r.buffer_pages,
+            )
+            for plan in plans for r in plan
+        }
+        calls = _EngineCalls(monkeypatch)
+        got = {}
+        errors = []
+        barrier = threading.Barrier(threads)
+
+        def submitter(plan):
+            # Bursts of three futures, so the dispatcher sees real
+            # batches while the estimate() callers come and go.
+            barrier.wait()
+            for start in range(0, len(plan), 3):
+                burst = plan[start:start + 3]
+                futures = [server.submit(r) for r in burst]
+                for r, future in zip(burst, futures):
+                    got[r.request_id] = future.result(timeout=30.0)
+
+        def caller(plan):
+            barrier.wait()
+            for r in plan:
+                got[r.request_id] = server.estimate(r, timeout=30.0)
+
+        def run(target, plan):
+            try:
+                target(plan)
+            except BaseException as exc:  # noqa: BLE001 — re-raised
+                errors.append(exc)
+
+        # Switch threads every 10 us so short races actually interleave.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with EstimationServer(tenant_root) as server:
+                workers = [
+                    threading.Thread(
+                        target=run,
+                        args=(submitter if t % 2 else caller, plan),
+                    )
+                    for t, plan in enumerate(plans)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60.0)
+                assert not any(w.is_alive() for w in workers)
+                metrics = server.metrics()
+        finally:
+            sys.setswitchinterval(previous)
+        assert not errors
+        # A lost update to either count would leave it non-zero.
+        assert server._callers == server._inflight == 0
+        assert calls.max_running == 1
+        assert got == expected
+        total = threads * per_thread
+        assert metrics["requests"] == metrics["completed"] == total
+        assert server.admission.total_rejected() == 0
+        histogram = metrics["batch_size_histogram"]
+        assert sum(histogram.values()) == metrics["batches"]
 
 
 class TestTenantIsolation:
