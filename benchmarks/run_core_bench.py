@@ -7,8 +7,9 @@ Usage (from the repo root)::
     PYTHONPATH=src python benchmarks/run_core_bench.py --smoke    # structure only
 
 The full run takes a couple of minutes (five repeats of every kernel over
-two 50,000-reference traces) and records the acceptance criteria: compact
->= 3x over baseline, sampled >= 10x within its documented 5% band error.
+two 50,000-reference traces) and records the acceptance criteria: numpy
+>= 3x over baseline (when numpy imports), sampled >= 10x within its
+documented 5% band error.
 ``--smoke`` shrinks everything for a sub-second structural check — the same
 mode the tier-1 test suite exercises.
 """

@@ -7,14 +7,14 @@ Usage (from the repo root)::
     PYTHONPATH=src python benchmarks/run_shard_bench.py --smoke    # structure only
 
 The full run streams a paper-scale trace (10^7 references over 200k
-pages) through a single-process compact pass and through sharded passes
-at 1/2/4/8 workers, recording wall and critical-path speedups, the
-merged-vs-exact verdict at every worker count, and the sampled kernel's
-merged-curve band error.  The acceptance gate (speedup >= 2.5x at 4
-workers; >= 1.2x at 2 workers under --smoke) is judged on wall clock
-when the host has >= 4 cores and on the critical path otherwise — see
-src/repro/perf/shard.py.  A merged curve that diverges from the exact
-single pass fails the run on any host.
+pages) through a single-process pass of the default kernel and through
+sharded passes at 1/2/4/8 workers, recording wall and critical-path
+speedups, the merged-vs-exact verdict at every worker count, and the
+sampled kernel's merged-curve band error.  The acceptance gate
+(speedup >= 2.5x at 4 workers; >= 1.2x at 2 workers under --smoke) is
+judged on wall clock when the host has >= 4 cores and on the critical
+path otherwise — see src/repro/perf/shard.py.  A merged curve that
+diverges from the exact single pass fails the run on any host.
 
 ``--smoke`` shrinks the trace and worker set to a roughly one-second
 structural check — the same mode the tier-1 suite and the CI shard

@@ -16,8 +16,8 @@ This subpackage provides the machinery behind the paper's Subprogram LRU-Fit
   the paper models; these quantify how policy-sensitive the FPF curve
   is via the simulated-policy kernels and the drift ablation).
 * :mod:`repro.buffer.kernels` — pluggable implementations of the stack
-  pass (exact Fenwick baseline, exact compact big-integer kernel, SHARDS
-  sampling, optional numpy vectorization) behind one registry.
+  pass (exact Fenwick baseline, SHARDS sampling, the exact optional numpy
+  stream) behind one registry.
 """
 
 from repro.buffer.clock import ClockBufferPool

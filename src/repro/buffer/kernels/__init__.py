@@ -1,20 +1,20 @@
 """Pluggable stack-distance kernels behind a common registry.
 
-Four implementations of the Mattson pass (Section 4.1's "simultaneous
+Three implementations of the Mattson pass (Section 4.1's "simultaneous
 simulation for a number of buffer pool sizes"), selectable by name anywhere
 the library runs an LRU analysis (``LRUFitConfig.kernel``, the experiment
 runner, ``repro perf``):
 
 ``baseline``
-    The original Fenwick-tree-over-positions pass; exact, O(M log M).
-``compact``
-    Exact big-integer recency kernel keyed by distinct live pages,
-    O(M · D/w) word operations — typically 3-30x faster than baseline.
+    The original Fenwick-tree-over-positions pass; exact, O(M log M), pure
+    Python.  The default when numpy is missing, and the reference every
+    exact kernel is tested against.
 ``sampled``
     SHARDS-style spatial hash sampling; approximate with a documented
     error bound, an order of magnitude faster on large traces.
 ``numpy``
-    Exact vectorized offline computation; registered only when numpy is
+    Exact streamed dominance count over O(D) carried state, one fed
+    block at a time; the default kernel.  Registered only when numpy is
     importable (the package itself stays zero-dependency).
 
 Beyond the LRU stack kernels, the registry carries a **policy**
@@ -34,7 +34,6 @@ from repro.buffer.kernels.base import (
     StackDistanceKernel,
 )
 from repro.buffer.kernels.baseline import BaselineKernel
-from repro.buffer.kernels.compact import CompactKernel
 from repro.buffer.kernels.policy import (
     SimulatedFetchCurve,
     SimulatedPolicyKernel,
@@ -71,7 +70,6 @@ from repro.buffer.kernels.sharded import (
 from repro.buffer.kernels.vectorized import HAVE_NUMPY, VectorizedKernel
 
 register_kernel(BaselineKernel.name, BaselineKernel)
-register_kernel(CompactKernel.name, CompactKernel)
 register_kernel(SampledKernel.name, SampledKernel)
 if HAVE_NUMPY:
     register_kernel(VectorizedKernel.name, VectorizedKernel)
@@ -94,7 +92,6 @@ del _policy
 __all__ = [
     "ApproximateFetchCurve",
     "BaselineKernel",
-    "CompactKernel",
     "DEFAULT_KERNEL",
     "ExactShardSummary",
     "FetchCurveProvider",

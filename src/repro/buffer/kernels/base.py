@@ -114,9 +114,10 @@ class KernelStream(abc.ABC):
     def snapshot_state(self) -> bytes:
         """The stream's complete mid-pass state, serialized.
 
-        Every built-in stream keeps only plain Python state (dicts, lists,
-        integers), so the default pickle round-trip restores it exactly;
-        a kernel holding unpicklable state must override this pair.
+        Every built-in stream keeps only picklable state (dicts, lists,
+        integers, numpy arrays), so the default pickle round-trip restores
+        it exactly; a kernel holding unpicklable state must override this
+        pair.
         Snapshots are internal wire data for checkpoints — not a stable
         cross-version format.
         """
@@ -155,6 +156,8 @@ class KernelStream(abc.ABC):
         """Rebuild a stream from :meth:`snapshot_state` output."""
         try:
             stream = pickle.loads(blob)
+        except CheckpointError:  # a stream refusing an old layout
+            raise
         except Exception as exc:
             raise CheckpointError(
                 f"kernel stream snapshot failed to deserialize: {exc}"

@@ -16,11 +16,12 @@ Each exact-kernel stream therefore reduces its shard to an
   shard reorders the global LRU stack for its successors).
 
 :func:`merge_exact_summaries` folds summaries left-to-right over a
-global recency structure — the same big-integer slot/mask technique as
-the ``compact`` kernel — replaying each shard's ``first_seen`` sequence
-to resolve seam depths, then re-stacking the shard's ``recency`` pages
-on top.  The result is **bit-identical** to a single uninterrupted pass:
-at every first-local-access, the pages above the previous slot are (a)
+global recency structure — each live page owns a slot, one big integer
+holds a bit per occupied slot, and a depth is the popcount above a slot —
+replaying each shard's ``first_seen`` sequence to resolve seam depths,
+then re-stacking the shard's ``recency`` pages on top.  The result is
+**bit-identical** to a single uninterrupted pass: at every
+first-local-access, the pages above the previous slot are (a)
 this shard's already-replayed first accesses, each counted once, and (b)
 pre-shard pages whose global last access falls inside the reuse window —
 together exactly the distinct pages the single pass would count.
@@ -102,16 +103,17 @@ def merge_exact_summaries(
     histogram: Dict[int, int] = {}
     # Global recency structure: live page -> slot, one occupancy bit per
     # slot in a big integer, monotone slot assignment with periodic
-    # re-packing (the compact kernel's technique, see compact.py).
+    # re-packing (ordered by recency) so the mask stays O(D) bits wide.
+    # Single bits are built on demand: a table of every ``1 << i`` would
+    # hold sum(i) bits, quadratic in D.
     slot_of: Dict[int, int] = {}
     mask = 0
     next_slot = 0
     capacity = _MIN_CAPACITY
-    powers = [1 << i for i in range(capacity + 1)]
     seam_reuses = 0
     cold = 0
 
-    def compact() -> None:
+    def repack() -> None:
         nonlocal mask, next_slot, capacity
         live = sorted(slot_of.items(), key=lambda kv: kv[1])
         slot_of.clear()
@@ -119,14 +121,9 @@ def merge_exact_summaries(
             (page, i) for i, (page, _slot) in enumerate(live)
         )
         d = len(slot_of)
-        mask = powers[d] - 1
+        mask = (1 << d) - 1
         next_slot = d
-        new_capacity = max(_MIN_CAPACITY, 3 * d)
-        if new_capacity > capacity:
-            powers.extend(
-                1 << i for i in range(capacity + 1, new_capacity + 1)
-            )
-        capacity = new_capacity
+        capacity = max(_MIN_CAPACITY, 3 * d)
 
     pop = slot_of.pop
     for summary in summaries:
@@ -140,14 +137,14 @@ def merge_exact_summaries(
             if prev is not None:
                 depth = (mask >> (prev + 1)).bit_count() + 1
                 histogram[depth] = histogram.get(depth, 0) + 1
-                mask ^= powers[prev]
+                mask ^= 1 << prev
                 seam_reuses += 1
             else:
                 cold += 1
             if next_slot >= capacity:
-                compact()
+                repack()
             slot_of[page] = next_slot
-            mask |= powers[next_slot]
+            mask |= 1 << next_slot
             next_slot += 1
 
         # Stage 2: intra-shard depths are already exact.
@@ -161,11 +158,11 @@ def merge_exact_summaries(
         for page in summary.recency:
             prev = pop(page, None)
             if prev is not None:
-                mask ^= powers[prev]
+                mask ^= 1 << prev
             if next_slot >= capacity:
-                compact()
+                repack()
             slot_of[page] = next_slot
-            mask |= powers[next_slot]
+            mask |= 1 << next_slot
             next_slot += 1
 
     curve = FetchCurve.from_distances(histogram, cold)

@@ -24,10 +24,12 @@ from __future__ import annotations
 from typing import Callable, Dict, Tuple, Union
 
 from repro.buffer.kernels.base import FetchCurveProvider, StackDistanceKernel
+from repro.buffer.kernels.vectorized import HAVE_NUMPY
 from repro.errors import KernelError
 
-#: The kernel used when none is named: the original Fenwick pass.
-DEFAULT_KERNEL = "baseline"
+#: The kernel used when none is named: the exact numpy stream when numpy
+#: imports, else the pure-Python Fenwick pass.
+DEFAULT_KERNEL = "numpy" if HAVE_NUMPY else "baseline"
 
 _FACTORIES: Dict[str, Callable[..., StackDistanceKernel]] = {}
 _POLICY_FACTORIES: Dict[str, Callable[..., FetchCurveProvider]] = {}

@@ -64,7 +64,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.buffer.kernels.base import KernelStream, StackDistanceKernel
-from repro.buffer.kernels.compact import _MIN_CAPACITY
+from repro.buffer.kernels.baseline import BaselineKernel
+from repro.buffer.kernels.mergeable import _MIN_CAPACITY
 from repro.errors import KernelError, TraceError
 
 #: Width of the sampling hash; thresholds live in ``[0, 2**24)``.
@@ -106,11 +107,13 @@ def _hash24(page: int, seed: int) -> int:
 def _tagged_distances(
     seq: Iterable[int],
 ) -> Tuple[List[Tuple[int, int]], int]:
-    """Compact stack-distance pass that keeps the page of each reuse.
+    """Stack-distance pass that keeps the page of each reuse.
 
-    Same big-integer recency algorithm as the ``compact`` kernel, but each
-    output element is ``(page, depth)`` so depths can be post-stratified by
-    page statistics.  Returns ``(pairs, cold_misses)``.
+    Each live page owns a recency slot and one big integer holds a bit
+    per occupied slot, so a reuse's depth is the popcount of the bits
+    above its previous slot; slots are re-packed when they run out.
+    Each output element is ``(page, depth)`` so depths can be
+    post-stratified by page statistics.  Returns ``(pairs, cold_misses)``.
     """
     slot_of: Dict[int, int] = {}
     pop = slot_of.pop
@@ -423,9 +426,7 @@ class _SampledStream(KernelStream):
         if self._raw is not None:
             # Escape hatch: the universe never outgrew min_pages, so an
             # exact pass is both cheap and exactly right.
-            from repro.buffer.kernels.compact import CompactKernel
-
-            return CompactKernel().analyze(self._raw)
+            return BaselineKernel().analyze(self._raw)
 
         state = self._state
         total = self._total

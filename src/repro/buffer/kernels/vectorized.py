@@ -1,15 +1,28 @@
-"""Optional numpy kernel: vectorized offline stack-distance computation.
+"""Optional numpy kernel: the Mattson pass as a vectorized stream.
 
-The stack depth of a reuse at position ``t`` with previous occurrence
-``prev(t)`` equals the number of positions ``j < t`` whose *own* previous
-occurrence satisfies ``prev(j) <= prev(t)`` (each such ``j`` is the most
-recent touch of a distinct page in the window), minus the window start —
-a classic 2-D dominance-counting problem.  This kernel solves it offline
-with a bottom-up merge over power-of-two levels: at each level the query
-side is answered by one global ``np.searchsorted`` against per-block sorted
-``prev`` arrays (a row-offset trick turns the ragged per-block queries into
-a single flat call), giving O(M log^2 M) work executed entirely inside
-numpy's C loops.
+The stack depth of a reuse at position ``t`` whose page was last touched
+at ``p`` is one plus the number of distinct pages touched in ``(p, t)``.
+This kernel computes it one fed block at a time, against carried state
+of size O(D) for D distinct pages: every page's last (and first) access
+position, all last positions in sorted order, the depth histogram, the
+cold count and the stream position.  No per-reference data outlives a
+feed, so memory is bounded by the page universe, not the trace.
+
+For a block starting at global position ``s``, let ``gp[t]`` be the
+previous occurrence of each reference (-1 when the page is cold) and
+``dom[t] = #{s <= j < t : gp[j] <= gp[t]}`` — a 2-D dominance count over
+the block alone.  Then the depth is
+
+* ``dom[t] + s - gp[t]`` for a repeat within the block (``gp[t] >= s``);
+* ``dom[t] + C - rank(gp[t])`` for a page's first touch in the block
+  (``0 <= gp[t] < s``), where ``rank`` is the position of ``gp[t]`` among
+  the C carried last positions, kept sorted.
+
+Every block's work — one grouping sort, two ``searchsorted`` lookups
+with sorted keys, an O(L log² L) dominance count and one histogram
+update — runs inside numpy's C loops.  Feeds longer than 2**16
+references are split into blocks, so ``analyze`` of a whole trace takes
+the same path with bounded temporaries.
 
 Results are bit-identical to the baseline kernel.  The module always
 imports — :data:`HAVE_NUMPY` reports availability — but the kernel class
@@ -20,14 +33,14 @@ imports, keeping the package zero-dependency.
 
 from __future__ import annotations
 
+import array
 import operator
-from collections import Counter
-from typing import Iterable, List
+from typing import Dict, Iterable
 
 from repro.buffer.kernels.base import KernelStream, StackDistanceKernel
 from repro.buffer.kernels.mergeable import ExactShardSummary
 from repro.buffer.stack import FetchCurve
-from repro.errors import KernelError, TraceError
+from repro.errors import CheckpointError, KernelError, TraceError
 
 try:  # pragma: no cover - exercised implicitly by the registry
     import numpy as _np
@@ -38,6 +51,13 @@ except ImportError:  # pragma: no cover
 HAVE_NUMPY = _np is not None
 
 _INT64_MAX = (1 << 63) - 1
+
+#: Positions within one block fit this many bits; longer feeds are split.
+_POSITION_BITS = 16
+_BLOCK = 1 << _POSITION_BITS
+#: Blocks whose page ids span less than this sort as packed
+#: ``(page, position)`` keys; ``(span << 16) | position`` stays in int64.
+_PACKED_SPAN = 1 << (62 - _POSITION_BITS)
 
 
 def _exact_page(page) -> int:
@@ -64,136 +84,221 @@ def _exact_page(page) -> int:
 def _page_array(pages: list):
     """``pages`` as an int64 array; never truncates or wraps an id.
 
-    The common case — plain ints that fit — converts in one numpy call.
-    Anything else (numpy promotes an int past int64 to float64, mixed
-    types to float or str, and nests or rejects sequences) takes a
-    checked per-element path over the original objects.
+    The common case — integers that fit — converts in one C call
+    (``array`` accepts only integers and raises on overflow).  Anything
+    else takes a checked per-element path over the original objects.
     """
     try:
-        arr = _np.asarray(pages)
-    except ValueError:  # ragged nested sequences
-        arr = None
-    if arr is not None and arr.ndim == 1 and arr.dtype.kind in "ib":
-        return arr.astype(_np.int64, copy=False)
-    return _np.fromiter(
-        map(_exact_page, pages), dtype=_np.int64, count=len(pages)
-    )
+        return _np.frombuffer(array.array("q", pages), dtype=_np.int64)
+    except (TypeError, OverflowError):
+        return _np.fromiter(
+            map(_exact_page, pages), dtype=_np.int64, count=len(pages)
+        )
 
 
-def _vectorized_distances(pages) -> "tuple[list, int]":
-    """Return ``(distances, cold_misses)`` for an int64 array of pages."""
+def _group_by_page(block):
+    """``(order, block[order])`` for a stable argsort of ``block``.
+
+    Positions come out grouped by page, in position order within a
+    page.  When the ids span little enough, ``(page, position)`` packs
+    into one int64 key; the keys are distinct, so a plain sort is
+    stable, and several times faster than a stable argsort.
+    """
     np = _np
-    n = int(pages.size)
-    # prev[t] = position of the previous occurrence of pages[t], or -1.
-    order = np.lexsort((np.arange(n), pages))
-    sorted_pages = pages[order]
-    prev = np.full(n, -1, dtype=np.int64)
-    same = sorted_pages[1:] == sorted_pages[:-1]
-    prev[order[1:][same]] = order[:-1][same]
+    low = int(block.min())
+    if int(block.max()) - low >= _PACKED_SPAN:
+        order = np.argsort(block, kind="stable")
+        return order, block[order]
+    packed = block - low
+    packed <<= _POSITION_BITS
+    packed |= np.arange(block.size, dtype=np.int64)
+    packed.sort()
+    order = packed & (_BLOCK - 1)
+    packed >>= _POSITION_BITS
+    packed += low
+    return order, packed
 
-    q_t = np.nonzero(prev >= 0)[0]  # positions of reuses (queries)
-    cold = n - int(q_t.size)
-    if q_t.size == 0:
-        return [], cold
-    q_p = prev[q_t]  # query thresholds
 
-    # acc[i] counts positions j < q_t[i] with prev[j] <= q_p[i]; every
-    # such j is the most recent touch of a distinct page no later than
-    # q_p[i], so distance = acc - q_p (depth is 1-based and the q_p + 1
-    # positions at or before q_p are all dominated).
-    acc = np.zeros(q_t.size, dtype=np.int64)
+def _smaller_before(ranks):
+    """``out[t] = #{j < t : ranks[j] < ranks[t]}`` for a permutation.
 
-    # Pad to a power of two so every merge level is a clean reshape; the
-    # sentinel n + 2 exceeds every real prev value but keeps the
-    # row-offset arithmetic far from int64 overflow.
-    n2 = 1 << (n - 1).bit_length() if n > 1 else 1
-    big = np.int64(n + 2)
-    prevpad = np.full(n2, big, dtype=np.int64)
-    prevpad[:n] = prev
-
-    width = 1
-    while width < n2:
-        block = q_t // (2 * width)  # which merge pair each query is in
-        in_right = (q_t % (2 * width)) >= width
-        sel = np.nonzero(in_right)[0]
-        if sel.size:
-            # Left-half values, sorted per block: the candidates dominated
-            # by queries living in the right half of the same block.  The
-            # row-offset trick lets one global searchsorted answer every
-            # block's queries at once.
-            lefts = prevpad.reshape(-1, 2 * width)[:, :width]
-            sorted_left = np.sort(lefts, axis=1)
-            off = big + 1
-            row_offsets = (
-                np.arange(sorted_left.shape[0], dtype=np.int64) * off
-            )
-            flat = (sorted_left + row_offsets[:, None]).ravel()
-            qb = block[sel]
-            keys = q_p[sel] + qb * off
-            acc[sel] += np.searchsorted(flat, keys, side="right") - qb * width
-        width *= 2
-
-    return (acc - q_p).tolist(), cold
+    ``ranks`` holds each of ``0..m-1`` once, with ``m <= 2**16``.  A
+    bottom-up merge over power-of-two position blocks: sorting the keys
+    ``(block << bits) | rank`` orders every block by rank, and an element
+    of a block's right half sits at its index within its own half plus
+    the number of left-half elements with a smaller rank.  Each pair
+    ``j < t`` is counted at the one level where it first shares a
+    block.  int32 holds every key.
+    """
+    np = _np
+    m = ranks.size
+    counts = np.zeros(m, dtype=np.int64)  # indexed by rank
+    if m < 2:
+        return counts
+    bits = (m - 1).bit_length()
+    ranks = ranks.astype(np.int32)
+    pos = np.arange(m, dtype=np.int32)
+    where = np.empty(m, dtype=np.int32)  # position of each rank
+    where[ranks] = pos
+    below = np.zeros(m, dtype=np.int32)  # index within the half block
+    key = np.empty(m, dtype=np.int32)
+    for level in range(bits):
+        np.right_shift(pos, level + 1, out=key)
+        key <<= bits
+        key |= ranks
+        key.sort()
+        key &= (1 << bits) - 1  # ranks in merged order
+        index = np.empty(m, dtype=np.int32)
+        index[key] = pos & ((2 << level) - 1)
+        in_right = (where >> level) & 1
+        counts += in_right * (index - below)
+        below = index
+    return counts[ranks]
 
 
 class _VectorizedStream(KernelStream):
-    """Buffers chunks as arrays; the analysis itself is offline."""
+    """Chunk-fed vectorized pass over O(D) carried state."""
+
+    #: Attributes a snapshot must restore.  Older builds buffered the
+    #: trace instead (one ``_chunks`` list) and carry none of them.
+    _STATE = (
+        "_pages", "_last", "_first", "_last_sorted", "_hist",
+        "_cold", "_position",
+    )
 
     def __init__(self) -> None:
-        self._chunks: List = []  # one int64 ndarray per fed chunk
+        np = _np
+        self._pages = np.empty(0, dtype=np.int64)  # distinct, sorted
+        self._last = np.empty(0, dtype=np.int64)  # per page
+        self._first = np.empty(0, dtype=np.int64)  # per page
+        self._last_sorted = np.empty(0, dtype=np.int64)
+        self._hist = np.zeros(1, dtype=np.int64)  # depth -> reuses
+        self._cold = 0
+        self._position = 0
+
+    def __setstate__(self, state: dict) -> None:
+        if not all(name in state for name in self._STATE):
+            raise CheckpointError(
+                "numpy kernel snapshot has the buffered layout of an "
+                "older build and cannot be resumed; rerun the pass "
+                "without resume"
+            )
+        self.__dict__.update(state)
 
     def _consume(self, pages: Iterable[int]) -> None:
         arr = _page_array(
             pages if isinstance(pages, (list, tuple)) else list(pages)
         )
-        if arr.size:
-            self._chunks.append(arr)
+        for lo in range(0, arr.size, _BLOCK):
+            self._feed_block(arr[lo:lo + _BLOCK])
+
+    def _feed_block(self, block) -> None:
+        """Fold one block of at most ``_BLOCK`` references in."""
+        np = _np
+        n = block.size
+        if not n:
+            return
+        start = self._position
+        order, grouped = _group_by_page(block)
+        head = np.empty(n, dtype=bool)  # first touch of its page here
+        head[0] = True
+        np.not_equal(grouped[1:], grouped[:-1], out=head[1:])
+        tail = np.empty(n, dtype=bool)  # last touch of its page here
+        tail[-1] = True
+        tail[:-1] = head[1:]
+        pages = grouped[head]  # sorted, like self._pages
+        firsts = order[head]
+        lasts = order[tail]
+
+        slot = np.searchsorted(self._pages, pages)
+        seen = slot < self._pages.size
+        seen[seen] = self._pages[slot[seen]] == pages[seen]
+        seen_slot = slot[seen]
+
+        # Carried reuses: a seen page's first touch here, ordered by the
+        # page's previous position; rank places that position among the
+        # C carried last positions.
+        previous = self._last[seen_slot]
+        by_previous = np.argsort(previous)
+        carried_at = firsts[seen][by_previous]
+        rank = np.searchsorted(self._last_sorted, previous[by_previous])
+        # Repeats within the block, and where each was touched before.
+        repeat = ~head[1:]
+        repeat_at = order[1:][repeat]
+        repeat_prev = order[:-1][repeat]
+
+        # Previous positions are distinct, so their dense ranks over all
+        # reuses form a permutation: carried ones first (all precede the
+        # block), then the block's own, whose previous positions are
+        # exactly its positions that are not a page's last touch here.
+        is_tail = np.zeros(n, dtype=bool)
+        is_tail[lasts] = True
+        carried = carried_at.size
+        prev_rank = np.full(n, -1, dtype=np.int64)
+        prev_rank[carried_at] = np.arange(carried)
+        prev_rank[repeat_at] = (
+            np.cumsum(~is_tail)[repeat_prev] - 1 + carried
+        )
+        offset = np.empty(n, dtype=np.int64)
+        offset[carried_at] = self._last_sorted.size - rank
+        offset[repeat_at] = -repeat_prev  # s - gp[t], as a local position
+
+        # dom[t] counts the cold touches before t (gp = -1) plus the
+        # reuses before t with a smaller previous position.
+        reuse = prev_rank >= 0
+        at = np.flatnonzero(reuse)
+        cold_before = np.cumsum(~reuse)
+        cold_before -= ~reuse
+        depth = _smaller_before(prev_rank[at])
+        depth += cold_before[at]
+        depth += offset[at]
+
+        self._last_sorted = np.concatenate((
+            np.delete(self._last_sorted, rank),
+            np.flatnonzero(is_tail) + start,
+        ))
+        self._last[seen_slot] = lasts[seen] + start
+        new = ~seen
+        if new.any():
+            into = slot[new]
+            self._pages = np.insert(self._pages, into, pages[new])
+            self._last = np.insert(self._last, into, lasts[new] + start)
+            self._first = np.insert(
+                self._first, into, firsts[new] + start
+            )
+        self._cold += n - at.size
+        self._position = start + n
+        hist = self._hist
+        if hist.size <= self._pages.size:  # no depth exceeds D
+            grown = np.zeros(
+                max(2 * hist.size, self._pages.size + 1), dtype=np.int64
+            )
+            grown[:hist.size] = hist
+            self._hist = hist = grown
+        np.add.at(hist, depth, 1)
+
+    def _histogram(self) -> Dict[int, int]:
+        """Reuse depth -> count, for every depth that occurred."""
+        hist = self._hist
+        depths = _np.flatnonzero(hist)
+        return dict(zip(depths.tolist(), hist[depths].tolist()))
 
     def _result(self) -> FetchCurve:
-        if not self._chunks:
-            raise TraceError("cannot build a FetchCurve from an empty trace")
-        pages = (
-            self._chunks[0]
-            if len(self._chunks) == 1
-            else _np.concatenate(self._chunks)
-        )
-        self._chunks = []
-        distances, cold = _vectorized_distances(pages)
-        return FetchCurve.from_distances(distances, cold)
+        return FetchCurve.from_distances(self._histogram(), self._cold)
 
     def shard_summary(self) -> ExactShardSummary:
         """Reduce this stream's shard to a mergeable summary.
 
-        First- and last-occurrence orders come from ``np.unique`` with
-        ``return_index`` over the buffer and its reverse — still fully
-        vectorized, no Python loop over references.
+        The carried state holds both orders the seam needs: the pages
+        by first position, and by last position (recency).
         """
         self._close_for_summary()
-        np = _np
-        if not self._chunks:
-            return ExactShardSummary({}, (), (), 0)
-        pages = (
-            self._chunks[0]
-            if len(self._chunks) == 1
-            else np.concatenate(self._chunks)
-        )
-        self._chunks = []
-        distances, cold = _vectorized_distances(pages)
-        n = int(pages.size)
-        uniq, first_idx = np.unique(pages, return_index=True)
-        first_seen = tuple(
-            int(p) for p in uniq[np.argsort(first_idx, kind="stable")]
-        )
-        uniq_r, rev_idx = np.unique(pages[::-1], return_index=True)
-        last_idx = n - 1 - rev_idx
-        recency = tuple(
-            int(p) for p in uniq_r[np.argsort(last_idx, kind="stable")]
-        )
+        pages = self._pages
         return ExactShardSummary(
-            histogram=dict(Counter(distances)),
-            first_seen=first_seen,
-            recency=recency,
-            references=n,
+            histogram=self._histogram(),
+            first_seen=tuple(pages[_np.argsort(self._first)].tolist()),
+            recency=tuple(pages[_np.argsort(self._last)].tolist()),
+            references=self._position,
         )
 
 
@@ -210,5 +315,5 @@ class VectorizedKernel(StackDistanceKernel):
             )
 
     def _new_stream(self) -> KernelStream:
-        """A fresh buffering stream."""
+        """A fresh stream over empty carried state."""
         return _VectorizedStream()

@@ -408,10 +408,10 @@ def _cmd_contention(args: argparse.Namespace) -> int:
 
 def _cmd_perf_sharded(args: argparse.Namespace) -> int:
     """Time one sharded pass against the single-process equivalent."""
-    from repro.buffer.kernels import as_shard_source
+    from repro.buffer.kernels import DEFAULT_KERNEL, as_shard_source
     from repro.perf.shard import shard_timing, single_pass
 
-    kernel = args.kernels[0] if args.kernels else "compact"
+    kernel = args.kernels[0] if args.kernels else DEFAULT_KERNEL
     if args.paper_scale:
         from repro.trace.paper_scale import (
             PAPER_SCALE_PAGES,

@@ -4,8 +4,8 @@
   check agreement against the exact baseline (used by ``repro perf``).
 * :mod:`repro.perf.harness` — the reproducible BENCH_core benchmark:
   uniform and Zipf traces, per-kernel medians and speedups, and the
-  acceptance criteria (compact >= 3x, sampled >= 10x within its documented
-  error bound), written to ``BENCH_core.json``.
+  acceptance criteria (numpy >= 3x when numpy imports, sampled >= 10x
+  within its documented error bound), written to ``BENCH_core.json``.
 * :mod:`repro.perf.shard` — the BENCH_shard benchmark: sharded LRU-Fit
   scaling over a paper-scale trace (per-worker wall/critical-path
   speedups, merged-vs-exact verdicts, sampled merge error), written to

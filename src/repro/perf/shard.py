@@ -1,6 +1,6 @@
 """The BENCH_shard benchmark: sharded LRU-Fit scaling as JSON.
 
-Times a single-process pass of one kernel (``compact`` by default) over a
+Times a single-process pass of one kernel (the registry default) over a
 paper-scale trace (see :mod:`repro.trace.paper_scale`), then a sharded
 pass at each requested worker count (``shards == workers``), and writes
 the scaling curve to ``BENCH_shard.json``:
@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.buffer.kernels import (
+    DEFAULT_KERNEL,
     SAMPLED_BAND_ERROR_BOUND,
     get_kernel,
     run_sharded_pass,
@@ -49,7 +50,6 @@ from repro.trace.paper_scale import (
 )
 
 DEFAULT_WORKER_COUNTS = (1, 2, 4, 8)
-DEFAULT_KERNEL = "compact"
 
 #: Full-run gate: wall (or critical-path) speedup at 4 workers.
 MIN_SPEEDUP_AT_4_WORKERS = 2.5

@@ -37,6 +37,10 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
 from repro.buffer.kernels.base import KernelStream
+from repro.buffer.kernels.registry import (
+    available_kernels,
+    available_policy_kernels,
+)
 from repro.catalog.catalog import atomic_write_text
 from repro.errors import CheckpointError
 from repro.obs import instruments
@@ -231,6 +235,14 @@ class Checkpointer:
             raise CheckpointError(
                 f"checkpoint {str(self.path)!r} stream snapshot does not "
                 f"match its recorded SHA-256; the file is corrupt"
+            )
+        # Before unpickling: a snapshot of a kernel this build lacks
+        # would fail on its missing module, not with the kernel's name.
+        if kernel not in available_kernels() + available_policy_kernels():
+            raise CheckpointError(
+                f"checkpoint {str(self.path)!r} was written by kernel "
+                f"{kernel!r}, which this build does not provide; rerun "
+                f"without resume to start a fresh pass"
             )
         stream = KernelStream.from_snapshot(blob)
         self._last_position = position

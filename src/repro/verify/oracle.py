@@ -10,8 +10,8 @@ every clever pass being verified.
 For each corpus trace this module replays the oracle at a grid of buffer
 sizes and compares:
 
-* every registered **exact** kernel (``baseline``, ``compact``, ``numpy``
-  when importable) — required to match the oracle *exactly* at every size;
+* every registered **exact** kernel (``baseline``, and ``numpy`` when
+  importable) — required to match the oracle *exactly* at every size;
 * the **streaming** chunked path of each kernel — required to match that
   kernel's own one-shot analysis exactly (chunking must be invisible);
 * the **sharded** merge path of each kernel — a shard-and-merge pass

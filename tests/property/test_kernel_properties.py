@@ -3,7 +3,9 @@
 Three invariants hold for *every* trace:
 
 * every exact kernel is bit-identical to the baseline Fenwick pass
-  (dataclass equality of the resulting FetchCurve);
+  (dataclass equality of the resulting FetchCurve), one-shot and under
+  any chunking — including long traces over wide page universes cut
+  into many chunks, so state carried between feeds decides the result;
 * the streaming API, under any chunking whatsoever, matches the one-shot
   analysis of the concatenated trace;
 * the sampled kernel's estimate respects the exact structural bounds
@@ -28,11 +30,50 @@ chunk_sizes = st.lists(st.integers(min_value=1, max_value=40), min_size=1,
                        max_size=20)
 
 
+def _spread(page: int) -> int:
+    """A bijection from small ids onto the whole int64 range."""
+    return (page * 0x9E3779B97F4A7C15) % (1 << 64) - (1 << 63)
+
+
+# Up to 400 pages over traces long enough that pages return several
+# chunks after their last touch; ids small or spread over int64.
+long_traces = st.tuples(
+    st.lists(st.integers(min_value=0, max_value=399), min_size=300,
+             max_size=2_000),
+    st.booleans(),
+).map(lambda drawn: [_spread(p) for p in drawn[0]] if drawn[1]
+      else drawn[0])
+many_chunk_sizes = st.lists(st.integers(min_value=1, max_value=64),
+                            min_size=1, max_size=40)
+
+
+def _feed_chunked(stream, trace, sizes):
+    i = 0
+    s = 0
+    while i < len(trace):
+        step = sizes[s % len(sizes)]
+        stream.feed(trace[i:i + step])
+        i += step
+        s += 1
+    return stream.finish()
+
+
 @given(trace=traces, kernel_name=st.sampled_from(EXACT_KERNELS))
 @settings(max_examples=300)
 def test_exact_kernels_bit_identical_to_baseline(trace, kernel_name):
     """Exact kernels reproduce FetchCurve.from_trace field-for-field."""
     assert get_kernel(kernel_name).analyze(trace) == FetchCurve.from_trace(
+        trace
+    )
+
+
+@given(trace=long_traces, sizes=many_chunk_sizes,
+       kernel_name=st.sampled_from(EXACT_KERNELS))
+@settings(max_examples=150)
+def test_chunked_exact_kernels_carry_state(trace, sizes, kernel_name):
+    """Many chunks over a wide universe: still bit-identical."""
+    stream = get_kernel(kernel_name).stream()
+    assert _feed_chunked(stream, trace, sizes) == FetchCurve.from_trace(
         trace
     )
 
@@ -43,15 +84,7 @@ def test_exact_kernels_bit_identical_to_baseline(trace, kernel_name):
 def test_streaming_matches_one_shot(trace, sizes, kernel_name):
     """Any chunking of the trace yields the same curve as one shot."""
     kernel = get_kernel(kernel_name)
-    stream = kernel.stream()
-    i = 0
-    s = 0
-    while i < len(trace):
-        step = sizes[s % len(sizes)]
-        stream.feed(trace[i:i + step])
-        i += step
-        s += 1
-    chunked = stream.finish()
+    chunked = _feed_chunked(kernel.stream(), trace, sizes)
     one_shot = kernel.analyze(trace)
     grid = list(range(1, 30))
     assert [chunked.fetches(b) for b in grid] == [

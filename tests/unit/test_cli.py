@@ -190,11 +190,11 @@ class TestCommands:
     def test_perf(self, capsys):
         assert main(
             ["perf", *self.SMALL, "--repeats", "1",
-             "--kernels", "baseline", "compact"]
+             "--kernels", "baseline", "sampled"]
         ) == 0
         out = capsys.readouterr().out
         assert "LRU-Fit pass per kernel" in out
-        assert "compact" in out and "baseline" in out
+        assert "sampled" in out and "baseline" in out
         assert "MISMATCH" not in out
 
     def test_gwl(self, capsys):

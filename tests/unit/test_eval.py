@@ -205,7 +205,7 @@ class TestParallelGroundTruth:
         assert len(set(seeds)) == 64
         assert derive_scan_seed(8, 0) != derive_scan_seed(7, 0)
 
-    @pytest.mark.parametrize("kernel", [None, "compact", "sampled"])
+    @pytest.mark.parametrize("kernel", [None, "baseline", "sampled"])
     def test_parallel_matches_serial(self, extractor, scans, kernel):
         sizes = [5, 20, 80]
         serial = ground_truth_tables(

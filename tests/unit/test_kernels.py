@@ -9,7 +9,6 @@ from repro.buffer.kernels import (
     SAMPLED_BAND_ERROR_BOUND,
     ApproximateFetchCurve,
     BaselineKernel,
-    CompactKernel,
     SampledKernel,
     available_kernels,
     get_kernel,
@@ -35,8 +34,8 @@ class TestRegistry:
     def test_builtins_registered(self):
         names = available_kernels()
         assert "baseline" in names
-        assert "compact" in names
         assert "sampled" in names
+        assert "compact" not in names
         if HAVE_NUMPY:
             assert "numpy" in names
 
@@ -57,9 +56,12 @@ class TestRegistry:
         assert kernel.min_pages == 3
 
     def test_resolve_accepts_name_instance_and_none(self):
-        assert resolve_kernel(None).name == "baseline"
-        assert resolve_kernel("compact").name == "compact"
-        inst = CompactKernel()
+        # The default follows numpy: the exact numpy stream when numpy
+        # imports, the pure-Python baseline otherwise.
+        default = "numpy" if HAVE_NUMPY else "baseline"
+        assert resolve_kernel(None).name == default
+        assert resolve_kernel("sampled").name == "sampled"
+        inst = SampledKernel()
         assert resolve_kernel(inst) is inst
 
 
@@ -90,13 +92,6 @@ class TestExactKernels:
         trace = _random_trace(7)
         curve = get_kernel(name).analyze(iter(trace))
         assert curve == FetchCurve.from_trace(trace)
-
-    def test_compact_compaction_is_exercised(self):
-        # More slot turnover than _MIN_CAPACITY forces at least one
-        # compaction; the result must still be exact.
-        rng = random.Random(42)
-        trace = [rng.randrange(3_000) for _ in range(10_000)]
-        assert CompactKernel().analyze(trace) == FetchCurve.from_trace(trace)
 
     def test_reseeded_is_identity_for_exact_kernels(self):
         kernel = BaselineKernel()
@@ -139,7 +134,7 @@ class TestStreamContract:
             stream.finish()
 
     def test_feed_after_finish_raises(self):
-        stream = CompactKernel().stream()
+        stream = SampledKernel().stream()
         stream.feed([1])
         stream.finish()
         with pytest.raises(KernelError, match="finished"):
@@ -305,3 +300,28 @@ class TestVectorizedKernel:
         stream.feed([0, 1])
         with pytest.raises(TraceError, match="int64"):
             stream.feed(trace)
+
+    def test_feed_longer_than_a_block_matches_baseline(self):
+        # analyze() feeds the whole trace at once; past 2**16 references
+        # the stream splits it into blocks, carrying state across them.
+        from repro.buffer.kernels.vectorized import _BLOCK
+
+        rng = random.Random(8)
+        trace = [rng.randrange(5_000) for _ in range(_BLOCK + 9_000)]
+        curve = get_kernel("numpy").analyze(trace)
+        assert curve == BaselineKernel().analyze(trace)
+
+    def test_snapshot_stays_o_of_d(self):
+        # Carried state is O(D): feeding 40x D references over the same
+        # D pages snapshots no larger than 10x D did (the histogram may
+        # still grow, to at most 2(D + 1) slots).
+        d = 500
+        rng = random.Random(12)
+        stream = get_kernel("numpy").stream()
+        sizes = []
+        for rounds in (10, 30):
+            for _ in range(rounds):
+                stream.feed(rng.sample(range(d), d))
+            sizes.append(len(stream.snapshot_state()))
+        assert sizes[1] <= sizes[0] + 16 * (d + 1)
+        assert sizes[1] < 64 * d + 4_096

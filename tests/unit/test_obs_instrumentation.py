@@ -76,8 +76,8 @@ class TestKernelProfiling:
         assert rate.value > 0
 
     def test_analyze_records_too(self, enabled_global):
-        get_kernel("compact").analyze(TRACE)
-        refs = instruments.kernel_references().labels(kernel="compact")
+        get_kernel("sampled").analyze(TRACE)
+        refs = instruments.kernel_references().labels(kernel="sampled")
         assert refs.value == len(TRACE)
 
     def test_every_kernel_stream_is_tagged(self):

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.buffer.kernels import available_kernels, get_kernel
+from repro.buffer.kernels import HAVE_NUMPY, available_kernels, get_kernel
 from repro.errors import KernelError
 from repro.perf.harness import (
     build_uniform_trace,
@@ -99,8 +99,9 @@ class TestRunCoreBenchmark:
     def test_criteria_recorded(self, document):
         doc, _out = document
         criteria = doc["criteria"]
-        assert criteria["compact_min_speedup"] == 3.0
+        assert criteria["numpy_min_speedup"] == 3.0
         assert criteria["sampled_min_speedup"] == 10.0
         assert criteria["meaningful"] is False  # smoke-scale numbers
-        assert "compact_speedup" in criteria
+        # The numpy criterion applies only when numpy imports.
+        assert (criteria["numpy_speedup"] is None) is (not HAVE_NUMPY)
         assert "sampled_band_error_pct" in criteria

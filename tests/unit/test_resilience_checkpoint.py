@@ -3,10 +3,11 @@
 import base64
 import hashlib
 import json
+import pickle
 
 import pytest
 
-from repro.buffer.kernels import resolve_kernel
+from repro.buffer.kernels import HAVE_NUMPY, resolve_kernel
 from repro.errors import CheckpointError, EstimationError
 from repro.estimators.epfis import LRUFit, LRUFitConfig
 from repro.resilience.checkpoint import (
@@ -170,6 +171,47 @@ class TestSaveLoad:
         with pytest.raises(CheckpointError):
             ckpt.load()
 
+    def test_load_unknown_kernel_names_it(self, tmp_path):
+        # A snapshot of a kernel this build lacks (the removed compact
+        # kernel, whose module is gone) fails closed with the kernel's
+        # name, before unpickling could fail on the missing module.
+        blob = pickle.dumps(self._stream_at(_trace(), 50), protocol=2)
+        old = b"repro.buffer.kernels.compact\n_CompactStream\n"
+        blob = blob.replace(
+            b"repro.buffer.kernels.baseline\n_BaselineStream\n", old
+        )
+        assert old in blob
+
+        class _Snapshot:
+            def snapshot_state(self):
+                return blob
+
+        ckpt = Checkpointer(tmp_path)
+        ckpt.save(_Snapshot(), 50, "d" * 64, "compact")
+        with pytest.raises(CheckpointError) as exc_info:
+            ckpt.load()
+        assert "'compact'" in str(exc_info.value)
+        assert "does not provide" in str(exc_info.value)
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+    def test_load_buffered_numpy_snapshot_fails_closed(self, tmp_path):
+        # Older builds' numpy stream buffered every fed chunk in one
+        # _chunks list; such a snapshot would unpickle into today's
+        # class and then fail on its first feed.
+        import numpy
+
+        stream = resolve_kernel("numpy").stream()
+        stream.__dict__.clear()
+        stream.__dict__.update(
+            _chunks=[numpy.arange(50, dtype=numpy.int64)],
+            kernel_name="numpy",
+        )
+        ckpt = Checkpointer(tmp_path)
+        ckpt.save(stream, 50, "d" * 64, "numpy")
+        with pytest.raises(CheckpointError) as exc_info:
+            ckpt.load()
+        assert "older build" in str(exc_info.value)
+
 
 class TestHashPages:
     def test_chunk_boundary_independent(self):
@@ -223,7 +265,7 @@ class TestStreamingResume:
         assert ckpt.saves >= 1
         assert not ckpt.exists()  # cleared after a completed pass
 
-    def _interrupted_checkpoint(self, tmp_path, trace):
+    def _interrupted_checkpoint(self, tmp_path, trace, kernel=None):
         """Run until the first post-checkpoint chunk, then die."""
         ckpt = Checkpointer(tmp_path, CheckpointPolicy(every_refs=120))
 
@@ -233,8 +275,11 @@ class TestStreamingResume:
                     raise KeyboardInterrupt("simulated kill")
                 yield chunk
 
+        config = LRUFitConfig() if kernel is None else LRUFitConfig(
+            kernel=kernel
+        )
         with pytest.raises(KeyboardInterrupt):
-            LRUFit().run_streaming(
+            LRUFit(config).run_streaming(
                 dying_chunks(),
                 table_pages=len(set(trace)),
                 distinct_keys=len(set(trace)),
@@ -267,8 +312,8 @@ class TestStreamingResume:
 
     def test_resume_with_wrong_kernel_raises(self, tmp_path):
         trace = _trace()
-        self._interrupted_checkpoint(tmp_path, trace)
-        fit = LRUFit(LRUFitConfig(kernel="compact"))
+        self._interrupted_checkpoint(tmp_path, trace, kernel="baseline")
+        fit = LRUFit(LRUFitConfig(kernel="sampled"))
         with pytest.raises(CheckpointError) as exc_info:
             fit.run_streaming(
                 _chunks(trace, 50),

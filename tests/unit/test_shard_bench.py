@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.buffer.kernels import DEFAULT_KERNEL
 from repro.perf.shard import run_shard_benchmark
 
 
@@ -24,7 +25,7 @@ class TestShardBenchSmoke:
         assert document["schema"] == 1
         config = document["config"]
         assert config["smoke"] is True
-        assert config["kernel"] == "compact"
+        assert config["kernel"] == DEFAULT_KERNEL
         assert config["worker_counts"] == [1, 2]
         assert config["host_cores"] >= 1
 

@@ -103,6 +103,32 @@ class TestExactMerge:
                 )
                 assert merged == expected, (case.name, shards)
 
+    def test_merge_repack_is_exercised(self):
+        # More slot turnover than the merge's minimum capacity (4,096
+        # slots) forces at least one re-pack; the result must stay exact.
+        rng = random.Random(42)
+        trace = [rng.randrange(3_000) for _ in range(10_000)]
+        merged = sharded_fetch_curve(trace, 3, kernel="baseline")
+        assert merged == FetchCurve.from_trace(trace)
+
+    def test_merge_memory_stays_small(self):
+        # Two shards over the same 12k pages.  Single bits are built on
+        # demand; a table of every 1 << i over the 3 * D slots would
+        # hold sum(i) bits, a 90 MB traced peak here.
+        import tracemalloc
+
+        pages = tuple(range(12_000))
+        shard = ExactShardSummary({}, pages, pages, len(pages))
+        tracemalloc.start()
+        try:
+            curve, seam = merge_exact_summaries([shard, shard])
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert curve == FetchCurve.from_trace(list(pages) * 2)
+        assert seam.seam_reuses == len(pages)
+        assert peak < 16 * 2**20
+
     def test_seam_reuses_counted(self):
         # Pages 0..9 twice: with 2 shards every second-pass reuse
         # crosses the seam.
@@ -314,7 +340,7 @@ class TestPaperScaleTrace:
         source = paper_scale_source(
             pattern=pattern, refs=9_000, pages=300, seed=7
         )
-        stream = get_kernel("compact").stream()
+        stream = get_kernel("baseline").stream()
         for chunk in source:
             stream.feed(chunk)
         assert sharded_fetch_curve(source, 4) == stream.finish()
