@@ -48,8 +48,8 @@ Error bound: with the defaults (``rate=0.01``, ``min_pages=256``,
 (5%) across the evaluation band ``0.05*T <= B <= 0.9*T`` used by every
 experiment in this repo (see
 :func:`repro.eval.buffer_grid.evaluation_buffer_grid`) on the benchmark's
-uniform *and* Zipf traces; ``benchmarks/run_core_bench.py`` measures and
-records the realized bound.  Re-seeding (as the parallel experiment runner
+uniform *and* Zipf traces (``tests/unit/test_kernels.py`` holds the bound on
+both).  Re-seeding (as the parallel experiment runner
 does per scan) re-draws the page sample, so individual seeds can exceed the
 bound by a few points; the mean over seeds stays well inside it.  Outside
 the band — very small pools, or pools larger than 90% of the page universe

@@ -35,9 +35,10 @@ from repro.obs.metrics import (
     MetricsRegistry,
     global_registry,
 )
-# repro.obs.promcheck is deliberately NOT imported here: it doubles as
-# ``python -m repro.obs.promcheck`` and importing it from its parent
-# package would trigger runpy's found-in-sys.modules warning.
+# repro.obs.promcheck and repro.obs.overhead are deliberately NOT
+# imported here: each doubles as ``python -m repro.obs.<name>`` and
+# importing it from its parent package would trigger runpy's
+# found-in-sys.modules warning.
 from repro.obs.session import observability_session
 from repro.obs.tracing import (
     NULL_TRACER,

@@ -19,7 +19,8 @@ into that service:
 * :mod:`repro.serving.netserver` — the NDJSON-over-TCP front end
   (``repro serve``);
 * :mod:`repro.serving.loadgen` — the deterministic closed-/open-loop
-  load generator (``repro loadgen``, ``BENCH_serving.json``);
+  load generator (``repro loadgen`` and the end-to-end benchmark's
+  serving workloads);
 * :mod:`repro.serving.protocol` — the wire format both ends share.
 """
 

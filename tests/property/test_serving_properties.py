@@ -16,7 +16,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.perf.serving import provision_tenants
 from repro.serving import (
     EstimateRequest,
     EstimationServer,
@@ -27,6 +26,8 @@ from repro.serving import (
 )
 from repro.serving.protocol import EstimateResponse
 from repro.types import ScanSelectivity
+
+from tests.helpers import provision_tenants
 
 pytestmark = pytest.mark.serving
 

@@ -18,6 +18,8 @@ from repro.buffer.kernels import (
 from repro.buffer.stack import FetchCurve
 from repro.errors import KernelError, TraceError
 
+from tests.helpers import build_uniform_trace, build_zipf_trace
+
 EXACT_KERNELS = [n for n in available_kernels()
                  if get_kernel(n).exact]
 
@@ -183,8 +185,7 @@ class TestSampledKernel:
         assert est.reuses == exact.reuses
 
     def test_band_error_within_documented_bound(self):
-        rng = random.Random(5)
-        trace = [rng.randrange(1_250) for _ in range(50_000)]
+        trace = build_uniform_trace()
         exact = FetchCurve.from_trace(trace)
         est = SampledKernel().analyze(trace)
         band = [round(f / 100 * 1_250) for f in range(5, 91, 5)]
@@ -198,8 +199,6 @@ class TestSampledKernel:
         # The skewed counterpart of the bound: the spatial sample almost
         # surely misses the hottest pages, so this passes only because of
         # the frequency-scaled stratum extrapolation.
-        from repro.perf.harness import build_zipf_trace
-
         trace = build_zipf_trace()
         exact = FetchCurve.from_trace(trace)
         est = SampledKernel().analyze(trace)

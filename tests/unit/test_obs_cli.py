@@ -194,7 +194,7 @@ class TestServingExport:
     def test_loadgen_export_counts_every_request(
         self, tmp_path, capsys
     ):
-        from repro.perf.serving import provision_tenants
+        from tests.helpers import provision_tenants
 
         requests, tenants = 300, 2
         root = tmp_path / "tenants"

@@ -18,7 +18,6 @@ import pytest
 
 from repro.engine import EstimationEngine
 from repro.errors import ReproError, ServingError
-from repro.perf.serving import provision_tenants
 from repro.serving import (
     AdmissionController,
     EstimateRequest,
@@ -41,6 +40,8 @@ from repro.serving.admission import (
 )
 from repro.serving.tenants import CATALOG_FILE
 from repro.types import ScanSelectivity
+
+from tests.helpers import provision_tenants
 
 pytestmark = pytest.mark.serving
 

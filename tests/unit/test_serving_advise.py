@@ -16,7 +16,6 @@ import socket
 import pytest
 
 from repro.errors import ServingError
-from repro.perf.serving import provision_tenants
 from repro.serving import (
     AdviseRequest,
     EstimateRequest,
@@ -32,6 +31,8 @@ from repro.serving.protocol import CODE_REJECTED
 from repro.serving.tenants import CATALOG_FILE
 
 from repro.advisor import AdvisorSpec, advise, uniform_fleet
+
+from tests.helpers import provision_tenants
 
 pytestmark = pytest.mark.advisor
 

@@ -17,11 +17,12 @@ import time
 import pytest
 
 from repro.cli import build_parser, main
-from repro.perf.serving import provision_tenants
 from repro.serving import ServingTCPServer, TCPTransport
 from repro.serving.loadgen import request_stream, WorkloadSpec
 from repro.serving.server import EstimationServer, ServingConfig
 from repro.serving.tenants import TenantCatalogs
+
+from tests.helpers import provision_tenants
 
 pytestmark = pytest.mark.serving
 
