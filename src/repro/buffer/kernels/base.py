@@ -141,6 +141,21 @@ class KernelStream(abc.ABC):
             f"mergeable shard summaries"
         )
 
+    def feed_uncounted(self, pages: Iterable[int]) -> None:
+        """Move ``pages`` to the top of the LRU stack, in order, uncounted.
+
+        The pages are fed like any chunk, then the depth and cold
+        counts are restored, so only the recency stack changes.  The
+        exact shard merge (:mod:`repro.buffer.kernels.mergeable`)
+        re-stacks each shard's pages this way, then reads the replay's
+        ``_histogram()`` and ``_cold``.  Exact kernels that can replay a
+        merge override this and keep those two; the default refuses.
+        """
+        raise KernelError(
+            f"kernel {self.kernel_name!r} streams cannot replay an "
+            f"exact shard merge"
+        )
+
     def _close_for_summary(self) -> None:
         """Mark the stream finished on behalf of :meth:`shard_summary`.
 

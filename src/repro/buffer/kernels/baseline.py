@@ -97,6 +97,18 @@ class _BaselineStream(KernelStream):
         self._cold = cold
         self._position = t
 
+    def feed_uncounted(self, pages: Iterable[int]) -> None:
+        """Feed ``pages`` for their effect on the stack only."""
+        reuses = len(self._distances)
+        cold = self._cold
+        self.feed(pages)
+        del self._distances[reuses:]
+        self._cold = cold
+
+    def _histogram(self) -> Dict[int, int]:
+        """Reuse depth -> count, for every depth that occurred."""
+        return dict(Counter(self._distances))
+
     def _result(self) -> FetchCurve:
         return FetchCurve.from_distances(self._distances, self._cold)
 
@@ -110,7 +122,7 @@ class _BaselineStream(KernelStream):
         self._close_for_summary()
         last_seen = self._last_seen
         return ExactShardSummary(
-            histogram=dict(Counter(self._distances)),
+            histogram=self._histogram(),
             first_seen=tuple(last_seen),
             recency=tuple(
                 sorted(last_seen, key=last_seen.__getitem__)

@@ -15,16 +15,19 @@ Each exact-kernel stream therefore reduces its shard to an
 * ``recency`` — pages in last-local-access order, oldest first (how the
   shard reorders the global LRU stack for its successors).
 
-:func:`merge_exact_summaries` folds summaries left-to-right over a
-global recency structure — each live page owns a slot, one big integer
-holds a bit per occupied slot, and a depth is the popcount above a slot —
-replaying each shard's ``first_seen`` sequence to resolve seam depths,
-then re-stacking the shard's ``recency`` pages on top.  The result is
-**bit-identical** to a single uninterrupted pass: at every
-first-local-access, the pages above the previous slot are (a)
-this shard's already-replayed first accesses, each counted once, and (b)
-pre-shard pages whose global last access falls inside the reuse window —
-together exactly the distinct pages the single pass would count.
+:func:`merge_exact_summaries` folds summaries left-to-right through one
+stream of the pass's own exact kernel, which holds the global LRU stack.
+Each shard's ``first_seen`` is fed normally: its reuses are exactly the
+seam reuses, at their true depths, and its cold touches are exactly the
+global cold misses.  Its ``recency`` is then fed uncounted
+(:meth:`~repro.buffer.kernels.base.KernelStream.feed_uncounted`), which
+re-stacks the shard's pages in last-access order without counting them.
+The result is **bit-identical** to a single uninterrupted pass: at every
+first-local-access, the pages above the page's previous touch in the
+replay stream are (a) this shard's already-replayed first accesses, each
+counted once, and (b) pre-shard pages whose global last access falls
+inside the reuse window — together exactly the distinct pages the single
+pass would count.
 
 The sampled (SHARDS) kernel merges differently — by summing per-page
 hash/count states under a shared seed; see
@@ -33,14 +36,13 @@ hash/count states under a shared seed; see
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
+from repro.buffer.kernels.base import StackDistanceKernel
 from repro.buffer.stack import FetchCurve
 from repro.errors import KernelError
-
-#: Initial/minimum slot capacity of the merge recency structure.
-_MIN_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
@@ -88,86 +90,32 @@ class SeamStats:
 
 
 def merge_exact_summaries(
-    summaries: Sequence[ExactShardSummary],
+    summaries: Sequence[ExactShardSummary], kernel: StackDistanceKernel
 ) -> Tuple[FetchCurve, SeamStats]:
     """Fold shard summaries (in trace order) into the single-pass curve.
 
-    Bit-identical to analyzing the concatenated trace with any exact
-    kernel.  Raises :class:`~repro.errors.KernelError` when given no
-    summaries and :class:`~repro.errors.TraceError` when the summaries
-    cover zero references (matching an empty-trace single pass).
+    ``kernel`` is the pass's exact kernel; one of its streams replays
+    the seams.  Bit-identical to analyzing the concatenated trace with
+    any exact kernel.  Raises :class:`~repro.errors.KernelError` when
+    given no summaries or a kernel whose streams cannot replay, and
+    :class:`~repro.errors.TraceError` when the summaries cover zero
+    references (matching an empty-trace single pass).
     """
     if not summaries:
         raise KernelError("cannot merge zero shard summaries")
 
-    histogram: Dict[int, int] = {}
-    # Global recency structure: live page -> slot, one occupancy bit per
-    # slot in a big integer, monotone slot assignment with periodic
-    # re-packing (ordered by recency) so the mask stays O(D) bits wide.
-    # Single bits are built on demand: a table of every ``1 << i`` would
-    # hold sum(i) bits, quadratic in D.
-    slot_of: Dict[int, int] = {}
-    mask = 0
-    next_slot = 0
-    capacity = _MIN_CAPACITY
-    seam_reuses = 0
-    cold = 0
-
-    def repack() -> None:
-        nonlocal mask, next_slot, capacity
-        live = sorted(slot_of.items(), key=lambda kv: kv[1])
-        slot_of.clear()
-        slot_of.update(
-            (page, i) for i, (page, _slot) in enumerate(live)
-        )
-        d = len(slot_of)
-        mask = (1 << d) - 1
-        next_slot = d
-        capacity = max(_MIN_CAPACITY, 3 * d)
-
-    pop = slot_of.pop
+    stream = kernel.stream()
+    histogram = Counter()
     for summary in summaries:
-        # Stage 1: replay the seam.  Each first-local-access either hits
-        # a page still on the global stack (seam reuse: its depth is the
-        # number of more recent slots, exactly as in a single pass) or is
-        # a true cold miss.  Pushing the page afterwards keeps the stack
-        # consistent for the pages replayed after it.
-        for page in summary.first_seen:
-            prev = pop(page, None)
-            if prev is not None:
-                depth = (mask >> (prev + 1)).bit_count() + 1
-                histogram[depth] = histogram.get(depth, 0) + 1
-                mask ^= 1 << prev
-                seam_reuses += 1
-            else:
-                cold += 1
-            if next_slot >= capacity:
-                repack()
-            slot_of[page] = next_slot
-            mask |= 1 << next_slot
-            next_slot += 1
-
-        # Stage 2: intra-shard depths are already exact.
-        for depth, count in summary.histogram.items():
-            histogram[depth] = histogram.get(depth, 0) + count
-
-        # Stage 3: restack the shard's pages in last-local-access order.
-        # Untouched pre-shard pages keep their relative order below; the
-        # shard's pages end up on top, most recent last — the global
-        # stack is now exactly what a single pass would hold here.
-        for page in summary.recency:
-            prev = pop(page, None)
-            if prev is not None:
-                mask ^= 1 << prev
-            if next_slot >= capacity:
-                repack()
-            slot_of[page] = next_slot
-            mask |= 1 << next_slot
-            next_slot += 1
-
+        stream.feed(summary.first_seen)
+        stream.feed_uncounted(summary.recency)
+        histogram.update(summary.histogram)
+    seams = stream._histogram()
+    histogram.update(seams)
+    cold = stream._cold
     curve = FetchCurve.from_distances(histogram, cold)
     return curve, SeamStats(
-        seam_reuses=seam_reuses,
+        seam_reuses=sum(seams.values()),
         cold_misses=cold,
         shards=len(summaries),
     )

@@ -65,7 +65,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.buffer.kernels.base import KernelStream, StackDistanceKernel
 from repro.buffer.kernels.baseline import BaselineKernel
-from repro.buffer.kernels.mergeable import _MIN_CAPACITY
 from repro.errors import KernelError, TraceError
 
 #: Width of the sampling hash; thresholds live in ``[0, 2**24)``.
@@ -95,6 +94,9 @@ _MIN_BIN_DECAY = 0.5
 #: evaluation band 0.05*T..0.9*T (see the module docstring).
 SAMPLED_BAND_ERROR_BOUND = 0.05
 
+#: Initial/minimum slot capacity of :func:`_tagged_distances`.
+_MIN_CAPACITY = 4096
+
 
 def _hash24(page: int, seed: int) -> int:
     """SplitMix64-style avalanche of ``page`` truncated to 24 bits."""
@@ -112,15 +114,16 @@ def _tagged_distances(
     Each live page owns a recency slot and one big integer holds a bit
     per occupied slot, so a reuse's depth is the popcount of the bits
     above its previous slot; slots are re-packed when they run out.
-    Each output element is ``(page, depth)`` so depths can be
-    post-stratified by page statistics.  Returns ``(pairs, cold_misses)``.
+    Single bits are built on demand: a table of every ``1 << i`` would
+    hold sum(i) bits, quadratic in the slot count.  Each output element
+    is ``(page, depth)`` so depths can be post-stratified by page
+    statistics.  Returns ``(pairs, cold_misses)``.
     """
     slot_of: Dict[int, int] = {}
     pop = slot_of.pop
     mask = 0
     next_slot = 0
     capacity = _MIN_CAPACITY
-    powers = [1 << i for i in range(capacity + 1)]
     pairs: List[Tuple[int, int]] = []
     append = pairs.append
     cold = 0
@@ -128,7 +131,7 @@ def _tagged_distances(
         prev = pop(page, None)
         if prev is not None:
             append((page, (mask >> (prev + 1)).bit_count() + 1))
-            mask ^= powers[prev]
+            mask ^= 1 << prev
         else:
             cold += 1
         if next_slot >= capacity:
@@ -136,16 +139,11 @@ def _tagged_distances(
             slot_of = {p: i for i, (p, _s) in enumerate(live)}
             pop = slot_of.pop
             d = len(slot_of)
-            mask = powers[d] - 1
+            mask = (1 << d) - 1
             next_slot = d
-            newcap = max(_MIN_CAPACITY, 3 * d)
-            if newcap > capacity:
-                powers.extend(
-                    1 << i for i in range(capacity + 1, newcap + 1)
-                )
-            capacity = newcap
+            capacity = max(_MIN_CAPACITY, 3 * d)
         slot_of[page] = next_slot
-        mask |= powers[next_slot]
+        mask |= 1 << next_slot
         next_slot += 1
     return pairs, cold
 

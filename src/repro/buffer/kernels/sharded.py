@@ -6,9 +6,12 @@ pass per shard (serially, or on a fork-based process pool shaped like
 :func:`repro.eval.ground_truth.ground_truth_tables`), and merges the
 shard summaries into the one :class:`~repro.buffer.stack.FetchCurve` a
 single uninterrupted pass would have produced — bit-identical for the
-exact kernels (seam-corrected merge, :mod:`.mergeable`) and for the
-sampled kernel (state summation under the shared hash seed,
+exact kernels (each shard's seam replayed through one stream of the same
+kernel, :mod:`.mergeable`) and for the sampled kernel (state summation
+under the shared hash seed,
 :func:`repro.buffer.kernels.sampled.merge_sampled_summaries`).
+Whether sharding pays is a wall-clock question: ``repro perf --shards``
+times one sharded pass against one process over the same source.
 
 Inputs are *shard sources*: anything with ``total_refs`` and a
 ``chunks(start, stop)`` range generator (sized sequences are wrapped
@@ -312,7 +315,7 @@ def _merge_summaries(
         isinstance(s, ExactShardSummary) for s in summaries
     ):
         raise KernelError("cannot merge mixed shard summary types")
-    return merge_exact_summaries(summaries)
+    return merge_exact_summaries(summaries, kernel)
 
 
 def _record_shard_metrics(

@@ -277,6 +277,14 @@ class _VectorizedStream(KernelStream):
             self._hist = hist = grown
         np.add.at(hist, depth, 1)
 
+    def feed_uncounted(self, pages: Iterable[int]) -> None:
+        """Feed ``pages`` for their effect on the stack only."""
+        hist = self._hist.copy()
+        cold = self._cold
+        self.feed(pages)
+        self._hist = hist  # a later block regrows it if pages arrived
+        self._cold = cold
+
     def _histogram(self) -> Dict[int, int]:
         """Reuse depth -> count, for every depth that occurred."""
         hist = self._hist

@@ -16,12 +16,17 @@ optimizer compilations concentrate on hot tables.  Over that stream:
   queue, where any shed must be counted;
 * the batched closed loop's p99 stays under a loose stall bound, which
   catches a stuck dispatcher, not scheduling jitter.
+
+That open loop rarely fills its queue, so a second test makes
+``run_open_loop`` shed on purpose and checks that every shed is
+counted, and counted once.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.serving.admission import REJECT_QUEUE_FULL
 from repro.serving.loadgen import (
     InProcessTransport,
     WorkloadSpec,
@@ -97,3 +102,23 @@ def test_smoke_deployment_is_exact_accounted_and_unstalled(tmp_path):
             server, requests, qps=max(200.0, closed.sustained_qps * 1.5)
         )
     assert open_loop.accounted
+
+
+def test_open_loop_sheds_and_counts_every_shed(tmp_path):
+    tenants = provision_tenants(tmp_path, tenant_count=1, records=600)
+    name = tenants.tenant_names()[0]
+    spec = WorkloadSpec(
+        tenants=(name,),
+        tenant_indexes=((name, tuple(tenants.engine(name).index_names())),),
+    )
+    requests = request_stream(spec, 300)
+    # One admission slot, a batch window that holds the dispatcher on
+    # the first request, and an arrival rate no server reaches: the
+    # loop never sleeps, so arrivals shed while the first is held.
+    config = ServingConfig(max_queue=1, batch_window_ms=50.0)
+    with EstimationServer(tmp_path, config) as server:
+        result = run_open_loop(server, requests, qps=1e9)
+        shed = server.metrics()["rejected"][REJECT_QUEUE_FULL]
+    assert result.rejected > 0
+    assert result.accounted
+    assert result.rejected == shed

@@ -209,6 +209,23 @@ class TestSampledKernel:
         )
         assert err <= SAMPLED_BAND_ERROR_BOUND
 
+    def test_pass_memory_stays_small(self):
+        # Two passes over 12k sampled pages.  Single bits are built on
+        # demand; a table of every 1 << i over the 3 * D slots would
+        # hold sum(i) bits, a 90 MB traced peak here.
+        import tracemalloc
+
+        trace = list(range(12_000)) * 2
+        tracemalloc.start()
+        try:
+            est = SampledKernel(rate=1.0).analyze(trace)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.fetches(12_000) == 12_000
+        assert est.fetches(11_999) == 24_000
+        assert peak < 16 * 2**20
+
     def test_bin_decay_fit_clamped_and_flat_fallback(self):
         from repro.buffer.kernels.sampled import _fit_bin_decay
 

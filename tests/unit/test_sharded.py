@@ -89,6 +89,16 @@ class TestExactMerge:
                 merged = sharded_fetch_curve(trace, shards, kernel=kernel)
                 assert merged == expected, (seed, shards)
 
+    def test_wide_universe_matches_single_pass(self):
+        # 3,000 pages: the replay stream outgrows its initial capacity
+        # while the seams are replayed.
+        rng = random.Random(42)
+        trace = [rng.randrange(3_000) for _ in range(10_000)]
+        expected = FetchCurve.from_trace(trace)
+        for kernel in EXACT_KERNELS:
+            merged = sharded_fetch_curve(trace, 3, kernel=kernel)
+            assert merged == expected, kernel
+
     @pytest.mark.parametrize("kernel", EXACT_KERNELS)
     def test_corpus_subset_matches_single_pass(self, kernel):
         # The full-corpus sweep runs under repro verify (and CI's shard
@@ -103,56 +113,71 @@ class TestExactMerge:
                 )
                 assert merged == expected, (case.name, shards)
 
-    def test_merge_repack_is_exercised(self):
-        # More slot turnover than the merge's minimum capacity (4,096
-        # slots) forces at least one re-pack; the result must stay exact.
-        rng = random.Random(42)
-        trace = [rng.randrange(3_000) for _ in range(10_000)]
-        merged = sharded_fetch_curve(trace, 3, kernel="baseline")
-        assert merged == FetchCurve.from_trace(trace)
-
     def test_merge_memory_stays_small(self):
-        # Two shards over the same 12k pages.  Single bits are built on
-        # demand; a table of every 1 << i over the 3 * D slots would
-        # hold sum(i) bits, a 90 MB traced peak here.
+        # Two shards over the same 12k pages, replayed through each
+        # exact kernel's stream, which holds O(D) state.
         import tracemalloc
 
         pages = tuple(range(12_000))
         shard = ExactShardSummary({}, pages, pages, len(pages))
-        tracemalloc.start()
-        try:
-            curve, seam = merge_exact_summaries([shard, shard])
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert curve == FetchCurve.from_trace(list(pages) * 2)
-        assert seam.seam_reuses == len(pages)
-        assert peak < 16 * 2**20
+        for kernel in EXACT_KERNELS:
+            tracemalloc.start()
+            try:
+                curve, seam = merge_exact_summaries(
+                    [shard, shard], get_kernel(kernel)
+                )
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert curve == FetchCurve.from_trace(list(pages) * 2)
+            assert seam.seam_reuses == len(pages)
+            assert peak < 16 * 2**20, kernel
+
+    @pytest.mark.parametrize("kernel", EXACT_KERNELS)
+    def test_feed_uncounted_restacks_without_counting(self, kernel):
+        stream = get_kernel(kernel).stream()
+        stream.feed([1, 2, 3, 4, 5])
+        stream.feed_uncounted([2, 4, 6])
+        # The stack now reads 6, 4, 2, 5, 3, 1 from the top, and the
+        # uncounted feed added neither reuses nor cold misses.
+        stream.feed([6, 4, 2, 5, 3, 1])
+        assert stream.finish() == FetchCurve.from_distances(
+            [1, 2, 3, 4, 5, 6], 5
+        )
+
+    def test_merge_refuses_a_kernel_that_cannot_replay(self):
+        shard = ExactShardSummary({}, (1,), (1,), 1)
+        with pytest.raises(KernelError, match="cannot replay"):
+            merge_exact_summaries([shard], get_kernel("sampled"))
 
     def test_seam_reuses_counted(self):
         # Pages 0..9 twice: with 2 shards every second-pass reuse
         # crosses the seam.
         trace = list(range(10)) * 2
-        result = run_sharded_pass(trace, 2)
-        assert result.curve == FetchCurve.from_trace(trace)
-        assert result.seam is not None
-        assert result.seam.seam_reuses == 10
-        assert result.seam.shards == 2
+        for kernel in EXACT_KERNELS:
+            result = run_sharded_pass(trace, 2, kernel=kernel)
+            assert result.curve == FetchCurve.from_trace(trace)
+            assert result.seam is not None
+            assert result.seam.seam_reuses == 10
+            assert result.seam.cold_misses == 10
+            assert result.seam.shards == 2
 
     def test_parallel_matches_serial(self):
         trace = _random_trace(77, max_len=2_000, max_pages=200)
-        serial = run_sharded_pass(trace, 4, workers=1)
-        forked = run_sharded_pass(trace, 4, workers=4)
-        assert forked.curve == serial.curve
-        assert forked.shards == serial.shards == 4
+        for kernel in EXACT_KERNELS:
+            serial = run_sharded_pass(trace, 4, workers=1, kernel=kernel)
+            forked = run_sharded_pass(trace, 4, workers=4, kernel=kernel)
+            assert forked.curve == serial.curve
+            assert forked.shards == serial.shards == 4
 
     def test_empty_trace_raises_like_single_pass(self):
-        with pytest.raises(TraceError):
-            sharded_fetch_curve([], 3)
+        for kernel in EXACT_KERNELS:
+            with pytest.raises(TraceError):
+                sharded_fetch_curve([], 3, kernel=kernel)
 
     def test_merge_rejects_empty_summary_list(self):
         with pytest.raises(KernelError, match="zero shard summaries"):
-            merge_exact_summaries([])
+            merge_exact_summaries([], get_kernel("baseline"))
 
     def test_summary_validates_consistency(self):
         with pytest.raises(KernelError):
