@@ -41,16 +41,16 @@ With ``history > 0`` the store additionally keeps a **versioned
 catalog history**: every :meth:`CatalogStore.save` first archives the
 intended bytes as ``v<NNNNNNNN>.json`` under ``<path>.versions/`` and
 only then publishes them to the main file, retaining the newest
-``history`` versions.  :meth:`CatalogStore.versions` lists what is
-retained, :meth:`CatalogStore.current_version` says which archived
-version the main file's bytes currently match (``None`` after an
-out-of-band edit or a torn publish), and
-:meth:`CatalogStore.rollback` atomically restores an archived version
-— the refresh controller's last-known-good recovery path.  Version
-bookkeeping deliberately bypasses :class:`CatalogIO`: like quarantine
-renames, the recovery machinery itself is not a chaos target, so an
-injected fault on the *publish* can never corrupt the archive it will
-be rolled back from.
+``history`` versions.  The history is for inspection:
+:meth:`CatalogStore.versions` lists what is retained,
+:meth:`CatalogStore.load_version` parses one version, and
+:meth:`CatalogStore.current_version` says which archived version the
+main file's bytes currently match (``None`` after an out-of-band edit
+or a torn publish).  Nothing restores from it: the refresh controller
+rolls a failed publish back to the bytes its cycle read through
+:meth:`CatalogStore.read`.  Version bookkeeping deliberately bypasses
+:class:`CatalogIO`: an injected fault on the *publish* never touches
+the archive.
 """
 
 from __future__ import annotations
@@ -203,6 +203,19 @@ class CatalogStore:
         """The current snapshot, reloaded iff the file's bytes changed."""
         return self._snapshot(self._read())
 
+    def read(self) -> Optional[Tuple[bytes, SystemCatalog]]:
+        """One read of the catalog file: its bytes and their snapshot.
+
+        ``None`` when the file does not exist.  A read fault
+        (:class:`OSError`) propagates, and bytes that do not parse
+        raise :class:`~repro.errors.CatalogError`.
+        """
+        try:
+            data = self._io.read_bytes(self._path)
+        except FileNotFoundError:
+            return None
+        return data, self._snapshot(data)
+
     def get(self, index_name: str) -> IndexStatistics:
         """Statistics for one index from the current snapshot."""
         return self.catalog().get(index_name)
@@ -295,8 +308,8 @@ class CatalogStore:
         its bytes match no retained version (an out-of-band edit, a torn
         publish, or a pre-history file).  Version bookkeeping reads the
         filesystem directly — deliberately not through :attr:`io` — so
-        injected read faults cannot make recovery lie about where it
-        stands.
+        injected read faults cannot make an inspection lie about where
+        the store stands.
         """
         try:
             current = hashlib.sha256(
@@ -343,58 +356,6 @@ class CatalogStore:
                 self.version_path(stale).unlink()
             except OSError:
                 pass
-
-    def rollback(
-        self, version: Optional[int] = None, prune: bool = True
-    ) -> int:
-        """Atomically restore an archived version to the main file.
-
-        ``version`` defaults to the newest retained version below
-        :meth:`current_version` (or the newest retained version outright
-        when the main file matches none — the torn-publish case).  With
-        ``prune`` (the default), versions newer than the target are
-        dropped from the archive: they are abandoned publish attempts,
-        and keeping them would make the next :meth:`save` look like a
-        re-publish of a known-bad candidate.  The restore itself uses
-        the plain atomic write — never the (possibly fault-injected)
-        :class:`CatalogIO` — because rollback *is* the recovery path.
-        Returns the restored version id.
-        """
-        if self._history < 1:
-            raise CatalogError(
-                "rollback needs a store with history > 0"
-            )
-        retained = self.versions()
-        if version is None:
-            current = self.current_version()
-            candidates = (
-                [v for v in retained if v < current]
-                if current is not None
-                else retained
-            )
-            if not candidates:
-                raise CatalogError(
-                    f"no retained version to roll back to "
-                    f"(retained: {retained}, current: "
-                    f"{self.current_version()})"
-                )
-            version = candidates[-1]
-        if version not in retained:
-            raise CatalogError(
-                f"catalog version {version} is not retained "
-                f"(retained: {retained})"
-            )
-        text = self.version_path(version).read_text(encoding="utf-8")
-        atomic_write_text(self._path, text)
-        if prune:
-            for stale in retained:
-                if stale > version:
-                    try:
-                        self.version_path(stale).unlink()
-                    except OSError:
-                        pass
-        self.invalidate()
-        return version
 
     def __repr__(self) -> str:
         return (

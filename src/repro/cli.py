@@ -1326,10 +1326,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="relative curve drift that triggers a "
                                 "roll-forward (default 0.01)")
     p_refresh.add_argument("--history", type=int, default=4,
-                           help="catalog versions retained for rollback "
-                                "(default 4; must cover a full cycle's "
-                                "publish attempts plus last-known-good, "
-                                "i.e. >= publish retries + 2)")
+                           help="catalog versions retained beside the "
+                                "file for inspection (default 4; any "
+                                "value >= 0: a rollback restores the "
+                                "bytes the cycle read, not an archived "
+                                "version)")
     p_refresh.add_argument("--state-dir", default=None, metavar="DIR",
                            help="loop state directory (default "
                                 "<catalog>.refresh)")

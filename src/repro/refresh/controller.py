@@ -13,24 +13,29 @@ index:
 2. **Decayed blend** — the fresh window curve is blended with the
    previously emitted record (``decay`` weight on the past), so one
    noisy window cannot yank the served statistics around.
-3. **Drift gate** — the blended candidate is diffed against the
-   currently served record via the golden-drift comparator
-   (:mod:`repro.refresh.drift`); below ``drift_threshold`` nothing is
-   published.
+3. **Drift gate** — the cycle reads the catalog once, through the
+   store; that read supplies the served record, the co-resident
+   indexes a publish keeps, and the bytes a failed publish restores.
+   The blended candidate is diffed against the served record via the
+   golden-drift comparator (:mod:`repro.refresh.drift`); below
+   ``drift_threshold`` nothing is published.
 4. **Breaker-guarded roll-forward** — a publish goes through the
    versioned catalog store (archive-then-publish), then *post-publish
    validation* runs: a read-back equality check, an oracle spot-check
    of the published curve, and an engine-cache invalidation probe
    against a long-lived engine.  Failure quarantines the candidate,
-   rolls the store back to last-known-good, and records a breaker
-   failure; enough consecutive failures open the breaker and later
-   cycles skip publishing until the cooldown elapses.
+   restores the bytes the cycle read, deletes the versions the
+   cycle's attempts archived, and records a breaker failure; enough
+   consecutive failures open the breaker and later cycles skip
+   publishing until the cooldown elapses.
 
 Controller state (feed position, cycle counter, the previously emitted
 record) persists in an atomic JSON file, so the loop survives process
 death: floats round-trip exactly through JSON, which is what makes the
 resumed blend — and therefore the next published curve — byte-identical
-to an uninterrupted run.
+to an uninterrupted run.  The rollback target is written beside it
+before each publish and deleted once the cycle settles, so a process
+that dies mid-rollback leaves it for the next controller to finish.
 """
 
 from __future__ import annotations
@@ -79,6 +84,9 @@ CYCLE_CHECKPOINT_DIRNAME = "cycle-ckpt"
 #: Quarantine subdirectory for candidates that failed validation.
 QUARANTINE_DIRNAME = "quarantine"
 
+#: The in-flight publish's rollback target inside the state directory.
+ROLLBACK_FILENAME = "rollback.json"
+
 #: Cycle outcome actions (the ``action`` label of
 #: ``repro_refresh_cycles_total``).
 ACTION_PUBLISHED = "published"
@@ -103,7 +111,8 @@ class RefreshConfig:
     policy: str = "lru"
     #: Transient feed faults tolerated per cycle before giving up.
     feed_retries: int = 8
-    #: Transient publish faults tolerated per cycle.
+    #: Transient faults tolerated per cycle on the publish, and on
+    #: the cycle's one catalog read.
     publish_retries: int = 2
     breaker_policy: BreakerPolicy = field(default_factory=BreakerPolicy)
     #: Chaos drill hook: cycles whose publish is deliberately corrupted
@@ -265,16 +274,14 @@ def _bind_refresh_counters(
 class RefreshController:
     """The long-lived refresh loop for one index of one catalog store.
 
-    ``store`` must keep enough version history that last-known-good
-    survives a whole cycle's publish attempts — rollback is the whole
-    point.  Every attempt archives a candidate version and prunes the
-    archive to ``history``, and one cycle makes up to
-    ``publish_retries + 1`` attempts, so the floor is
-    ``publish_retries + 2`` (the attempts plus the last-good version
-    they must not evict).  ``state_dir`` holds the loop's persisted
-    state, the in-flight cycle's checkpoint, and the quarantine of
-    failed candidates.  ``clock`` is injectable so tests drive breaker
-    cooldowns without sleeping.
+    A rollback restores the bytes the cycle read, so it needs nothing
+    from the store's version history, and any ``history >= 0`` works.
+    The history is for inspection only; a shallow one may lose
+    last-known-good's archived version to a cycle's publish attempts,
+    never the served bytes.  ``state_dir`` holds the loop's persisted
+    state, the in-flight cycle's checkpoint and rollback target, and
+    the quarantine of failed candidates.  ``clock`` is injectable so
+    tests drive breaker cooldowns without sleeping.
     """
 
     def __init__(
@@ -290,17 +297,6 @@ class RefreshController:
             raise RefreshError(
                 f"store must be a CatalogStore, got "
                 f"{type(store).__name__}"
-            )
-        min_history = config.publish_retries + 2
-        if store.history < min_history:
-            raise RefreshError(
-                f"the refresh loop rolls back through the store's "
-                f"version history, and a single cycle may archive up "
-                f"to publish_retries + 1 = {config.publish_retries + 1} "
-                f"candidate versions before rolling back — with "
-                f"history={store.history} the pruning would evict "
-                f"last-known-good exactly when it is needed; construct "
-                f"the store with history >= {min_history}"
             )
         self._store = store
         self._feed = feed
@@ -327,6 +323,7 @@ class RefreshController:
         # that lives across publishes, exactly like a serving process.
         self._probe_engine = EstimationEngine(store)
         self._state = self._load_state()
+        self._finish_interrupted_rollback()
 
     # ------------------------------------------------------------------
     # Persisted state
@@ -340,6 +337,12 @@ class RefreshController:
     def quarantine_dir(self) -> Path:
         """Where candidates that failed validation are set aside."""
         return self._state_dir / QUARANTINE_DIRNAME
+
+    @property
+    def rollback_path(self) -> Path:
+        """The in-flight publish's rollback target (absent between
+        cycles)."""
+        return self._state_dir / ROLLBACK_FILENAME
 
     @property
     def state(self) -> RefreshState:
@@ -375,6 +378,45 @@ class RefreshController:
             self.state_path,
             json.dumps(self._state.to_dict(), sort_keys=True),
         )
+
+    def _save_rollback_target(
+        self, before: Optional[bytes], newest: int
+    ) -> None:
+        # ``before`` parsed as a catalog, so it is valid UTF-8.
+        self._state_dir.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(
+            self.rollback_path,
+            json.dumps(
+                {
+                    "catalog": (
+                        None if before is None else before.decode("utf-8")
+                    ),
+                    "newest_version": newest,
+                }
+            ),
+        )
+
+    def _finish_interrupted_rollback(self) -> None:
+        """Finish the rollback of a cycle that died before it settled:
+        its publish may have landed, so the catalog is restored to the
+        bytes that cycle read.  The cycle itself replays, as its state
+        never advanced."""
+        try:
+            text = self.rollback_path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return
+        try:
+            target = json.loads(text)
+            before, newest = target["catalog"], target["newest_version"]
+        except (json.JSONDecodeError, KeyError) as exc:
+            raise RefreshError(
+                f"rollback target {str(self.rollback_path)!r} is "
+                f"corrupt: {exc}"
+            ) from exc
+        self._rollback(
+            None if before is None else before.encode("utf-8"), newest
+        )
+        self.rollback_path.unlink()
 
     # ------------------------------------------------------------------
     # Observability
@@ -412,10 +454,12 @@ class RefreshController:
         ):
             curve = self._window_curve(start, stop)
             candidate = self._candidate_from(curve)
-            served = self._served_record()
+            before, snapshot = self._read_catalog()
+            name = self.config.index_name
+            served = snapshot.get(name) if name in snapshot else None
             report = compare_statistics(served, candidate)
             action, version = self._roll_forward(
-                cycle, served, candidate, report
+                cycle, before, snapshot, candidate, report
             )
         # The emitted (blended) record advances every cycle — the
         # decayed fit tracks the feed whether or not it published.
@@ -479,12 +523,27 @@ class RefreshController:
             index_name=config.index_name,
         )
 
-    def _served_record(self) -> Optional[IndexStatistics]:
-        """The currently served record, or ``None`` when nothing is."""
-        try:
-            return self._store.get(self.config.index_name)
-        except (CatalogError, OSError):
-            return None
+    def _read_catalog(self) -> Tuple[Optional[bytes], SystemCatalog]:
+        """The cycle's one read of the catalog: its bytes and snapshot,
+        or ``(None, empty catalog)`` when no file exists.
+
+        A read fault is retried up to ``publish_retries`` times and
+        then *propagated*, and a file that does not parse raises:
+        treating either as "nothing served" would publish (and validate
+        as good: post-publish validation checks only the candidate's
+        record) a catalog that silently drops every other index served
+        from the same file.
+        """
+        attempts = 0
+        while True:
+            try:
+                read = self._store.read()
+            except OSError:
+                attempts += 1
+                if attempts > self.config.publish_retries:
+                    raise
+                continue
+            return read if read is not None else (None, SystemCatalog())
 
     # ------------------------------------------------------------------
     # Publish, validate, roll back
@@ -492,7 +551,8 @@ class RefreshController:
     def _roll_forward(
         self,
         cycle: int,
-        served: Optional[IndexStatistics],
+        before: Optional[bytes],
+        snapshot: SystemCatalog,
         candidate: IndexStatistics,
         report: DriftReport,
     ) -> Tuple[str, Optional[int]]:
@@ -501,75 +561,50 @@ class RefreshController:
         self._counters["drift_detected"].inc()
         if not self._breaker.allow():
             return ACTION_BREAKER_OPEN, None
-        last_good = self._store.current_version()
-        pre_publish = self._pre_publish_bytes()
-        text = self._render_catalog(candidate)
+        text = self._render_catalog(snapshot, candidate)
         if cycle in self.config.corrupt_publish_cycles:
             # The chaos drill: a deliberately bad roll-forward that
             # must be caught by validation and rolled back.
             text = text[: max(1, len(text) // 2)]
-        version = self._publish(text)
-        if version is not None and self._validate(candidate):
+        newest = max(self._store.versions(), default=0)
+        self._save_rollback_target(before, newest)
+        landed, version = self._publish(text)
+        if landed and self._validate(candidate):
             self._breaker.record_success()
             self._counters["publishes"].inc()
-            return ACTION_PUBLISHED, version
-        self._quarantine_candidate(cycle, candidate, report)
-        self._rollback(last_good, pre_publish)
-        self._breaker.record_failure()
-        self._counters["rollbacks"].inc()
-        return ACTION_ROLLED_BACK, version
+            action = ACTION_PUBLISHED
+        else:
+            self._quarantine_candidate(cycle, candidate, report)
+            self._rollback(before, newest)
+            self._breaker.record_failure()
+            self._counters["rollbacks"].inc()
+            action = ACTION_ROLLED_BACK
+        self.rollback_path.unlink()
+        return action, version
 
-    def _pre_publish_bytes(self) -> Optional[bytes]:
-        try:
-            return self._store.path.read_bytes()
-        except OSError:
-            return None
-
-    def _render_catalog(self, candidate: IndexStatistics) -> str:
-        """The full catalog text with ``candidate`` merged in (other
-        indexes served by the same file are preserved)."""
+    def _render_catalog(
+        self, snapshot: SystemCatalog, candidate: IndexStatistics
+    ) -> str:
+        """The full catalog text with ``candidate`` merged into the
+        cycle's snapshot (other indexes served by the same file are
+        preserved)."""
         merged = SystemCatalog()
-        snapshot = self._merge_snapshot()
-        if snapshot is not None:
-            for name in snapshot:
-                if name != candidate.index_name:
-                    merged.put(snapshot.get(name))
+        for name in snapshot:
+            if name != candidate.index_name:
+                merged.put(snapshot.get(name))
         merged.put(candidate)
         return merged.to_json()
 
-    def _merge_snapshot(self) -> Optional[SystemCatalog]:
-        """The served snapshot whose co-resident indexes a publish must
-        preserve; ``None`` only when no catalog file exists at all.
-
-        A transient read fault is retried and then *propagated* — and a
-        corrupt existing file raises outright — because treating either
-        as an empty snapshot would render (and then publish, and then
-        validate as "good": post-publish validation only checks the
-        candidate's record) a catalog that silently drops every other
-        index served from the same file.
-        """
-        attempts = 0
-        while True:
-            try:
-                return self._store.catalog()
-            except CatalogError:
-                if self._store.path.exists():
-                    raise
-                return None
-            except OSError:
-                attempts += 1
-                if attempts > self.config.publish_retries:
-                    raise
-
-    def _publish(self, text: str) -> Optional[int]:
+    def _publish(self, text: str) -> Tuple[bool, Optional[int]]:
         """Archive-then-publish through the store, retrying transient
-        write faults; ``None`` when the publish never landed."""
+        write faults: whether the write landed, and its archived
+        version id (``None`` when the store keeps no history)."""
         for _ in range(self.config.publish_retries + 1):
             try:
-                return self._store.save_text(text)
+                return True, self._store.save_text(text)
             except OSError:
                 continue
-        return None
+        return False, None
 
     def _validate(self, candidate: IndexStatistics) -> bool:
         """Post-publish validation: read-back equality, an oracle
@@ -663,43 +698,16 @@ class RefreshController:
         )
         self._counters["quarantined"].inc()
 
-    def _rollback(
-        self,
-        last_good: Optional[int],
-        pre_publish: Optional[bytes],
-    ) -> None:
-        """Restore last-known-good after a failed publish."""
-        if last_good is not None:
-            try:
-                self._store.rollback(version=last_good)
-                return
-            except CatalogError:
-                # The archive no longer retains last-known-good.  The
-                # history floor enforced at construction makes this
-                # unreachable through the controller's own publish
-                # attempts, but an out-of-band save against the same
-                # store can still prune it away — fall through to the
-                # raw pre-publish restore rather than abandoning the
-                # rollback with the bad candidate still published.
-                pass
-        # Nothing retained predates this cycle's publish attempts
-        # (first publish ever, a catalog written before history
-        # existed, or a pruned-away last-good): every archived version
-        # is an abandoned attempt, so drop them all — none may ever be
-        # mistaken for a good version — then restore the raw
-        # pre-publish bytes exactly as captured (they may not be valid
-        # UTF-8; a corrupt pre-existing catalog is one reason last_good
-        # can be None in the first place).
-        for stale in self._store.versions():
-            try:
-                self._store.version_path(stale).unlink()
-            except OSError:
-                pass
-        if pre_publish is not None:
-            atomic_write_bytes(self._store.path, pre_publish)
+    def _rollback(self, before: Optional[bytes], newest: int) -> None:
+        """Restore the bytes the cycle read (no file when it read none),
+        then delete the versions its publish attempts archived: every
+        id above ``newest``, the newest retained before them (0 when
+        none was).  None of them may be mistaken for a good version."""
+        if before is None:
+            self._store.path.unlink(missing_ok=True)
         else:
-            try:
-                self._store.path.unlink()
-            except OSError:
-                pass
+            atomic_write_bytes(self._store.path, before)
+        for version in self._store.versions():
+            if version > newest:
+                self._store.version_path(version).unlink(missing_ok=True)
         self._store.invalidate()

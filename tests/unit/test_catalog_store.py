@@ -33,6 +33,21 @@ class TestCatalogStore:
             store.catalog()
         assert "repro fit" in str(exc_info.value)
 
+    def test_read_pairs_bytes_with_their_snapshot(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        store = CatalogStore(path)
+        assert store.read() is None  # no file: nothing served
+        _write(path, _stats("t.a"))
+        data, snapshot = store.read()
+        assert data == path.read_bytes()
+        assert "t.a" in snapshot
+        # One read shares the served state with catalog().
+        assert store.catalog() is snapshot
+        assert store.generation == 1
+        path.write_bytes(b"{not json")
+        with pytest.raises(CatalogError):
+            store.read()
+
     def test_serves_records(self, tmp_path):
         path = tmp_path / "catalog.json"
         _write(path, _stats("t.a"), _stats("t.b"))

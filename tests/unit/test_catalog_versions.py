@@ -1,4 +1,4 @@
-"""Unit tests for the catalog store's version history and rollback."""
+"""Unit tests for the catalog store's version history."""
 
 import os
 
@@ -90,71 +90,10 @@ class TestVersionedSave:
         store.path.write_text(_catalog_text("t.z"))
         assert store.current_version() is None
 
-
-class TestRollback:
-    def test_rollback_requires_history(self, tmp_path):
-        store = CatalogStore(tmp_path / "catalog.json")
-        with pytest.raises(CatalogError):
-            store.rollback()
-
-    def test_rollback_restores_previous_bytes(self, tmp_path):
-        store = CatalogStore(tmp_path / "catalog.json", history=3)
-        store.save_text(_catalog_text("t.a"))
-        good = store.path.read_bytes()
-        store.save_text(_catalog_text("t.b"))
-        restored = store.rollback()
-        assert restored == 1
-        assert store.path.read_bytes() == good
-        assert store.current_version() == 1
-
-    def test_rollback_prunes_later_versions(self, tmp_path):
-        store = CatalogStore(tmp_path / "catalog.json", history=3)
-        for name in ("t.a", "t.b", "t.c"):
-            store.save_text(_catalog_text(name))
-        store.rollback(version=1)
-        assert store.versions() == [1]
-
-    def test_rollback_invalidates_served_snapshot(self, tmp_path):
-        store = CatalogStore(tmp_path / "catalog.json", history=3)
-        store.save_text(_catalog_text("t.a"))
-        store.save_text(_catalog_text("t.b"))
-        assert "t.b" in store
-        store.rollback()
-        assert "t.b" not in store
-        assert "t.a" in store
-
-    def test_rollback_with_nothing_below_current_fails(self, tmp_path):
-        store = CatalogStore(tmp_path / "catalog.json", history=3)
-        store.save_text(_catalog_text("t.a"))
-        with pytest.raises(CatalogError):
-            store.rollback()
-
-    def test_rollback_after_torn_publish_restores_newest(self, tmp_path):
-        """The archive survives a publish whose main-file write died:
-        rollback with no argument lands on the archived attempt."""
-        store = CatalogStore(tmp_path / "catalog.json", history=3)
-        store.save_text(_catalog_text("t.a"))
-        # Simulate a torn publish: the main file carries garbage that
-        # matches no archived version.
-        store.path.write_text("{not json")
-        restored = store.rollback()
-        assert restored == 1
-        assert "t.a" in store
-
-    def test_new_ids_after_rollback_stay_monotonic(self, tmp_path):
-        """A rolled-back version id is never reused: ids label publish
-        attempts, not retained files."""
-        store = CatalogStore(tmp_path / "catalog.json", history=3)
-        store.save_text(_catalog_text("t.a"))
-        store.save_text(_catalog_text("t.b"))
-        store.rollback()
-        assert store.save_text(_catalog_text("t.c")) == 3
-        assert store.versions() == [1, 3]
-
-    def test_same_size_rewrite_then_rollback(self, tmp_path):
+    def test_same_size_rewrite_resolves_current_version(self, tmp_path):
         """Regression: a same-size, same-mtime rewrite (the reload
         blind spot content stamping closes) still resolves the right
-        current version, and rollback restores the earlier content."""
+        current version."""
         store = CatalogStore(tmp_path / "catalog.json", history=3)
         store.save_text(_catalog_text("t.aa"))
         mtime = os.stat(store.path).st_mtime_ns
@@ -162,9 +101,6 @@ class TestRollback:
         os.utime(store.path, ns=(mtime, mtime))
         assert len(_catalog_text("t.aa")) == len(_catalog_text("t.ab"))
         assert store.current_version() == 2
-        store.rollback()
-        assert store.get("t.aa").index_name == "t.aa"
-        assert store.current_version() == 1
 
 
 class TestResilientStoreVersions:
@@ -178,13 +114,3 @@ class TestResilientStoreVersions:
         store.save_text(_catalog_text("t.c"))
         assert store.versions() == [2, 3]
         assert store.current_version() == 3
-
-    def test_rollback_served_through_resilient_reads(self, tmp_path):
-        store = ResilientCatalogStore(
-            tmp_path / "catalog.json", history=2
-        )
-        store.save_text(_catalog_text("t.a"))
-        store.save_text(_catalog_text("t.b"))
-        assert "t.b" in store
-        store.rollback()
-        assert store.get("t.a").index_name == "t.a"

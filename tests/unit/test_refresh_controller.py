@@ -1,10 +1,12 @@
 """Unit tests for the online catalog refresh controller."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.catalog import CatalogStore, IndexStatistics, SystemCatalog
+from repro.catalog.store import CatalogIO
 from repro.errors import CatalogError, RefreshError
 from repro.obs.metrics import MetricsRegistry
 from repro.refresh import (
@@ -20,12 +22,12 @@ INDEX = "orders_idx"
 SPEC = PaperScaleSpec(refs=1, pages=120, pattern="zipf", seed=7)
 
 
-def _controller(tmp_path, clock=None, **config_overrides):
+def _controller(tmp_path, clock=None, history=4, **config_overrides):
     config_kwargs = dict(
         index_name=INDEX, window_refs=4_000, checkpoint_every=1_000
     )
     config_kwargs.update(config_overrides)
-    store = CatalogStore(tmp_path / "catalog.json", history=4)
+    store = CatalogStore(tmp_path / "catalog.json", history=history)
     kwargs = {"registry": MetricsRegistry()}
     if clock is not None:
         kwargs["clock"] = clock
@@ -65,16 +67,23 @@ class TestConfigValidation:
 
 
 class TestControllerConstruction:
-    def test_requires_versioned_store(self, tmp_path):
-        store = CatalogStore(tmp_path / "catalog.json")  # history=0
-        with pytest.raises(RefreshError) as exc_info:
-            RefreshController(
-                store,
-                DriftingFeed.stationary(SPEC),
-                RefreshConfig(index_name=INDEX),
-                tmp_path / "state",
-            )
-        assert "history" in str(exc_info.value)
+    def test_history_zero_publishes_and_rolls_back(self, tmp_path):
+        """A store that keeps no history serves the loop too: its
+        publishes carry no version id, and a rollback restores the
+        bytes the cycle read."""
+        controller = _controller(
+            tmp_path,
+            history=0,
+            drift_threshold=0.0,
+            corrupt_publish_cycles=(1,),
+        )
+        first = controller.run_cycle()
+        assert (first.action, first.version) == ("published", None)
+        good = controller.store.path.read_bytes()
+        assert controller.run_cycle().action == "rolled-back"
+        assert controller.store.path.read_bytes() == good
+        assert controller.store.versions() == []
+        assert controller.run_cycle().action == "published"
 
     def test_requires_catalog_store(self, tmp_path):
         with pytest.raises(RefreshError):
@@ -290,36 +299,16 @@ class TestMetrics:
 
 
 class TestHistoryFloor:
-    """One cycle archives up to publish_retries + 1 candidate versions
-    and prunes to ``history`` each time; last-known-good must survive
-    all of them, so the controller enforces
-    ``history >= publish_retries + 2``."""
-
-    def test_shallow_history_rejected(self, tmp_path):
-        store = CatalogStore(tmp_path / "catalog.json", history=3)
-        with pytest.raises(RefreshError) as exc_info:
-            RefreshController(
-                store,
-                DriftingFeed.stationary(SPEC),
-                RefreshConfig(index_name=INDEX),  # publish_retries=2
-                tmp_path / "state",
-            )
-        assert "history >= 4" in str(exc_info.value)
-
-    def test_floor_scales_with_publish_retries(self, tmp_path):
-        store = CatalogStore(tmp_path / "catalog.json", history=4)
-        with pytest.raises(RefreshError):
-            RefreshController(
-                store,
-                DriftingFeed.stationary(SPEC),
-                RefreshConfig(index_name=INDEX, publish_retries=3),
-                tmp_path / "state",
-            )
+    """There is no history floor.  One cycle archives up to
+    publish_retries + 1 candidate versions and prunes to ``history``
+    each time, which may evict last-known-good's archived version; the
+    rollback restores the bytes the cycle read, so it never needs
+    it."""
 
     def test_exhausted_publish_retries_keep_last_good(self, tmp_path):
-        """At the minimum permitted history, a cycle whose every
-        publish attempt faults (archiving a version each time) must
-        still find last-known-good retained when it rolls back."""
+        """A cycle whose every publish attempt faults (archiving a
+        version each time) restores last-known-good and keeps its
+        archived version when the history is deep enough."""
         controller = _controller(tmp_path, drift_threshold=0.0)
         controller.run_cycle()
         good = controller.store.path.read_bytes()
@@ -332,43 +321,111 @@ class TestHistoryFloor:
         assert controller.store.current_version() == 1
         assert controller.store.versions() == [1]
 
+    def test_history_below_attempts_restores_bytes(self, tmp_path):
+        """At history=1 the first faulted attempt prunes
+        last-known-good's archived version; the rollback still
+        restores the bytes and leaves no attempt version behind."""
+        controller = _controller(
+            tmp_path, history=1, drift_threshold=0.0
+        )
+        controller.run_cycle()
+        good = controller.store.path.read_bytes()
+        controller.store._io = FaultInjector(
+            [FaultRule("write", "transient")]
+        )
+        result = controller.run_cycle()
+        assert result.action == "rolled-back"
+        assert controller.store.path.read_bytes() == good
+        assert controller.store.versions() == []
+
 
 class TestRollbackFallback:
     def test_pruned_last_good_falls_back_to_pre_publish_bytes(
-        self, tmp_path, monkeypatch
+        self, tmp_path
     ):
-        """If the archive loses last-known-good anyway (out-of-band
-        writer), rollback restores the captured pre-publish bytes
-        instead of propagating and leaving the bad candidate served."""
+        """If the archive loses last-known-good (an out-of-band
+        writer), rollback still restores the bytes the cycle read: it
+        never reads the archive."""
         controller = _controller(
             tmp_path, drift_threshold=0.0, corrupt_publish_cycles=(1,)
         )
         controller.run_cycle()
         good = controller.store.path.read_bytes()
-
-        def pruned(version=None, prune=True):
-            raise CatalogError(
-                f"catalog version {version} is not retained"
-            )
-
-        monkeypatch.setattr(controller.store, "rollback", pruned)
+        controller.store.version_path(1).unlink()
         result = controller.run_cycle()
         assert result.action == "rolled-back"
         assert controller.store.path.read_bytes() == good
         # Every surviving archived version was an abandoned attempt
         # from the failed cycle: none may linger as a "good" version.
         assert controller.store.versions() == []
-        monkeypatch.undo()
         # The loop keeps going: the next clean cycle publishes.
         assert controller.run_cycle().action == "published"
 
-    def test_non_utf8_pre_publish_bytes_restored_exactly(
+
+class _RecordingIO(CatalogIO):
+    """Logs each catalog read and publish through the store's IO."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def read_bytes(self, path):
+        self.events.append("read")
+        return super().read_bytes(path)
+
+    def save_text(self, path, text):
+        self.events.append("save")
+        super().save_text(path, text)
+
+
+class TestOneCatalogRead:
+    def test_publishing_cycle_reads_the_catalog_once(
+        self, tmp_path, monkeypatch
+    ):
+        """One read, through the store, supplies the served record,
+        the co-resident indexes and the bytes a rollback restores;
+        nothing reads the main file or the archive behind it."""
+        controller = _controller(tmp_path, drift_threshold=0.0)
+        controller.run_cycle()
+        events = []
+        controller.store._io = _RecordingIO(events)
+        store = controller.store
+        direct_read = Path.read_bytes
+
+        def logged(path):
+            if path == store.path or path.parent == store.versions_dir:
+                events.append("read")
+            return direct_read(path)
+
+        monkeypatch.setattr(Path, "read_bytes", logged)
+        assert controller.run_cycle().action == "published"
+        assert events[: events.index("save")] == ["read"]
+
+    def test_transient_read_fault_does_not_force_publish(
         self, tmp_path
     ):
-        controller = _controller(tmp_path)
+        """One retried read fault is not "nothing served": a cycle
+        below the threshold still skips."""
+        controller = _controller(tmp_path, drift_threshold=5.0)
+        controller.run_cycle()
+        controller.store._io = FaultInjector(
+            [FaultRule("read", "transient", limit=1)]
+        )
+        result = controller.run_cycle()
+        assert result.action == "skipped-below-threshold"
+        assert controller.store.versions() == [1]
+
+    def test_non_utf8_catalog_fails_before_publish(self, tmp_path):
+        """A catalog that is not UTF-8 raises before any publish, so
+        a rollback only ever restores bytes that parsed."""
+        controller = _controller(tmp_path, drift_threshold=0.0)
+        controller.run_cycle()
         raw = b"\xff\xfe not utf-8"
-        controller._rollback(None, raw)
+        controller.store.path.write_bytes(raw)
+        with pytest.raises(CatalogError):
+            controller.run_cycle()
         assert controller.store.path.read_bytes() == raw
+        assert controller.store.versions() == [1]
+        assert not controller.rollback_path.exists()
 
 
 def _add_second_index(store, name="other_idx"):
